@@ -1,8 +1,7 @@
 """Benchmark-regression gate: current run vs committed baselines.
 
-Re-runs the standalone benches (``bench_evaluator_cache.py``,
-``bench_micro_bddops.py`` and ``bench_reorder.py``), compares every
-(model, method, config) cell of
+Re-runs the standalone benches (``bench_evaluator_cache.py`` and
+``bench_reorder.py``), compares every (model, method, config) cell of
 the fresh reports against the committed ``BENCH_*.json`` baselines,
 and exits nonzero on any violation — this is the CI ``perf-gate`` job.
 
@@ -65,7 +64,6 @@ from repro.obs.ledger import DEFAULT_TOLERANCES, Tolerance, \
     diff_reports  # noqa: E402
 
 import bench_evaluator_cache  # noqa: E402
-import bench_micro_bddops  # noqa: E402
 import bench_reorder  # noqa: E402
 
 __all__ = ["Tolerance", "DEFAULT_TOLERANCES", "compare_reports",
@@ -89,7 +87,6 @@ def compare_reports(baseline: Dict[str, Any], current: Dict[str, Any],
 #: (baseline filename, module with build_report) for every gated bench.
 BENCHES = (
     ("BENCH_evaluator.json", bench_evaluator_cache),
-    ("BENCH_kernel.json", bench_micro_bddops),
     ("BENCH_reorder.json", bench_reorder),
 )
 

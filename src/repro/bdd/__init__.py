@@ -15,8 +15,6 @@ Public surface:
 
 from .manager import BDD, BudgetExceededError, EpochGuard, Function, \
     TERMINAL_LEVEL
-from .kernel import ArrayBDD, KERNELS, default_kernel, kernel_context, \
-    make_manager, resolve_kernel, set_default_kernel
 from .sizing import SizeMemo, format_profile, individual_sizes, profile, \
     shared_size
 from .bounded import bounded_and
@@ -30,13 +28,6 @@ from .sift import SiftResult, sift
 
 __all__ = [
     "BDD",
-    "ArrayBDD",
-    "KERNELS",
-    "default_kernel",
-    "set_default_kernel",
-    "resolve_kernel",
-    "kernel_context",
-    "make_manager",
     "EpochGuard",
     "Function",
     "BudgetExceededError",

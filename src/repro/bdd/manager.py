@@ -82,40 +82,10 @@ class BDD:
     live :class:`Function` handles — are untouched), :meth:`sift` runs
     Rudell sifting on top of it, and :meth:`reorder` rebuilds the whole
     manager under an arbitrary permutation.
-
-    Two interchangeable kernels implement this class.  This one — the
-    *dict* kernel — stores nodes in Python lists and memo tables in
-    tuple-keyed dicts and recurses in Python; it is the readable
-    reference and the differential-testing oracle.  The *array* kernel
-    (:class:`repro.bdd.kernel.ArrayBDD`) keeps the same facade on flat
-    ``array('q')`` storage with iterative operations and is
-    edge-identical but several times faster.  ``BDD(kernel=...)``
-    selects one explicitly; a bare ``BDD()`` builds whatever
-    :func:`repro.bdd.kernel.kernel_context` has made the default
-    (initially ``"dict"``).
     """
 
-    #: Kernel name reported by this class; the array kernel overrides.
-    kernel = "dict"
-
-    def __new__(cls, max_nodes: Optional[int] = None,
-                time_limit: Optional[float] = None,
-                kernel: Optional[str] = None) -> "BDD":
-        # Kernel dispatch happens here, not in a factory, so that every
-        # existing construction site — fsm builders, reorder shadows,
-        # transfer targets, tests — transparently builds the selected
-        # kernel.  Subclass constructors bypass the dispatch.
-        if cls is BDD:
-            from .kernel import ArrayBDD, resolve_kernel
-            if resolve_kernel(kernel) == "array":
-                return super().__new__(ArrayBDD)
-        return super().__new__(cls)
-
     def __init__(self, max_nodes: Optional[int] = None,
-                 time_limit: Optional[float] = None,
-                 kernel: Optional[str] = None) -> None:
-        # ``kernel`` is consumed by __new__; accepted here so the
-        # signatures agree.
+                 time_limit: Optional[float] = None) -> None:
         # Parallel arrays indexed by node id.  Node 0 is the terminal.
         self._level: List[int] = [TERMINAL_LEVEL]
         self._high: List[int] = [0]
@@ -228,24 +198,6 @@ class BDD:
         self._reorder_time_ms = 0
         self._reorder_nodes_before = 0
         self._reorder_nodes_after = 0
-        self._levelized_calls = 0
-        self._levelized_requests = 0
-        # High-water mark of the per-level request-queue width inside
-        # one levelized breadth-first sweep — the figure that sizes
-        # disk-backed level queues for the out-of-core path.  Lives on
-        # the base class (zero under recursive apply) so both kernels
-        # expose an identical stats() shape.
-        self._levelized_peak_width = 0
-        #: Apply-path selection (``recursive`` | ``levelized`` |
-        #: ``auto``).  Only the array kernel dispatches on it — the
-        #: dict manager has no levelized engine and the attribute is
-        #: inert here — but it lives on the base class so
-        #: ``Options(apply=...)`` can arm any manager uniformly.
-        self.apply_mode = "recursive"
-        #: ``auto`` mode's switch point: recursive cache misses (live
-        #: requests) before an operation restarts levelized.
-        from .levelized import DEFAULT_AUTO_THRESHOLD
-        self.apply_threshold = DEFAULT_AUTO_THRESHOLD
 
     # ------------------------------------------------------------------
     # Constants and variables
@@ -340,11 +292,6 @@ class BDD:
         self._constrain_cache.clear()
         self._compose_caches.clear()
 
-    def _opcache_evictions(self) -> int:
-        """Direct-map collision evictions (array kernel only; the dict
-        kernel's unbounded memo dicts never evict)."""
-        return 0
-
     def stats(self) -> Dict[str, int]:
         """Snapshot of the manager-wide operation statistics.
 
@@ -367,10 +314,6 @@ class BDD:
             "constrain_misses": self._constrain_misses,
             "cache_evictions": self._cache_evictions,
             "cache_flushes": self._cache_flushes,
-            "opcache_evictions": self._opcache_evictions(),
-            "levelized_calls": self._levelized_calls,
-            "levelized_requests": self._levelized_requests,
-            "levelized_peak_width": self._levelized_peak_width,
             "nodes_created": self._nodes_created,
             "nodes_current": len(self._level),
             "nodes_peak": self._peak_nodes,
@@ -386,10 +329,7 @@ class BDD:
         }
 
     #: stats() keys that are point-in-time gauges, not monotone counters.
-    #: ``levelized_peak_width`` is a high-water mark like ``nodes_peak``:
-    #: deltas would be meaningless, so it reports its current value.
-    STAT_GAUGES = frozenset({"nodes_current", "nodes_peak",
-                             "levelized_peak_width"})
+    STAT_GAUGES = frozenset({"nodes_current", "nodes_peak"})
 
     @classmethod
     def stats_delta(cls, before: Dict[str, int],
@@ -462,27 +402,6 @@ class BDD:
         if len(self._compose_caches) > 0:
             raise RuntimeError("garbage_collect during vector compose")
         handles = self._live_functions()
-        marked = self._mark_live(handles)
-        before = len(self._level)
-        remap = self._compact(marked, before)
-        for fn in handles:
-            fn.edge = self._remap_edge(fn.edge, remap)
-        self.clear_caches()
-        self.gc_epoch += 1
-        self._gc_runs += 1
-        freed = before - len(self._level)
-        self._gc_freed += freed
-        if self._gc_observers:
-            for observer in list(self._gc_observers):
-                observer(freed, len(self._level), self.gc_epoch)
-        return freed
-
-    def _mark_live(self, handles: Sequence["Function"]) -> bytearray:
-        """Mark every node reachable from the live handles.
-
-        The mark half of :meth:`garbage_collect`; the array kernel
-        overrides it with a vectorized frontier sweep.
-        """
         marked = bytearray(len(self._level))
         marked[0] = 1
         stack = [fn.edge >> 1 for fn in handles]
@@ -493,17 +412,7 @@ class BDD:
             marked[node] = 1
             stack.append(self._high[node] >> 1)
             stack.append(self._low[node] >> 1)
-        return marked
-
-    def _compact(self, marked: bytearray, before: int) -> Sequence[int]:
-        """Rebuild the node storage keeping only marked nodes.
-
-        The storage-specific half of :meth:`garbage_collect` — the
-        array kernel overrides it with an array-native (optionally
-        vectorized) version.  Returns the old-id -> new-id remap table;
-        the caller translates live handles and handles the epoch/cache
-        bookkeeping.
-        """
+        before = len(self._level)
         remap: List[int] = [0] * before
         # Two passes: swap_levels rewrites parents in place, so children
         # no longer always precede parents in id order — every remapped
@@ -532,10 +441,20 @@ class BDD:
         for node in range(1, len(self._level)):
             members[self._level[node]].append(node)
         self._level_members = members
-        return remap
+        for fn in handles:
+            fn.edge = self._remap_edge(fn.edge, remap)
+        self.clear_caches()
+        self.gc_epoch += 1
+        self._gc_runs += 1
+        freed = before - len(self._level)
+        self._gc_freed += freed
+        if self._gc_observers:
+            for observer in list(self._gc_observers):
+                observer(freed, len(self._level), self.gc_epoch)
+        return freed
 
     @staticmethod
-    def _remap_edge(edge: int, remap: Sequence[int]) -> int:
+    def _remap_edge(edge: int, remap: List[int]) -> int:
         return (remap[edge >> 1] << 1) | (edge & 1)
 
     def maybe_collect(self, min_nodes: int = 200_000,
@@ -576,11 +495,7 @@ class BDD:
                 "variable names")
         if len(self._compose_caches) > 0:
             raise RuntimeError("reorder during vector compose")
-        # Same class as self: the shadow's storage is adopted wholesale
-        # below, so a dict manager must rebuild on dict storage and an
-        # array manager on array storage, whatever the current default
-        # kernel is.
-        shadow = type(self)(kernel=self.kernel)
+        shadow = BDD()
         for name in new_order:
             shadow.new_var(name)
         handles = self._live_functions()
@@ -1377,28 +1292,6 @@ class BDD:
             edge = (self._high[node] if value else self._low[node]) ^ sign
         return edge == 0
 
-    def _eval_batch(self, edge: int, columns: Dict[int, Sequence[bool]],
-                    count: int) -> List[bool]:
-        """Evaluate ``edge`` under ``count`` assignments at once.
-
-        ``columns`` maps level -> one value per assignment; the caller
-        (:meth:`Function.evaluate_batch`) has already checked that the
-        support is covered.  The array kernel overrides this with a
-        vectorized level-by-level walk.
-        """
-        highs = self._high
-        lows = self._low
-        levels = self._level
-        out = []
-        for b in range(count):
-            e = edge
-            while e > 1:
-                node = e >> 1
-                e = (highs[node] if columns[levels[node]][b]
-                     else lows[node]) ^ (e & 1)
-            out.append(e == 0)
-        return out
-
     # ------------------------------------------------------------------
     # Function construction helpers
     # ------------------------------------------------------------------
@@ -1661,39 +1554,6 @@ class Function:
         by_level = {self.bdd._name_to_level[n]: v
                     for n, v in assignment.items()}
         return self.bdd._eval(self.edge, by_level)
-
-    def evaluate_batch(
-            self, columns: Dict[str, Sequence[bool]]) -> List[bool]:
-        """Evaluate under a whole batch of assignments at once.
-
-        ``columns`` is columnar: each variable name maps to one value
-        per assignment, all columns the same length.  Returns one bool
-        per assignment (row).  Every variable in the function's support
-        must have a column; extras are ignored.  On the array kernel
-        this is a vectorized level-by-level walk over the whole batch —
-        the bulk analogue of :meth:`evaluate` for simulation
-        cross-checks and counterexample sampling.
-        """
-        bdd = self.bdd
-        if not columns:
-            raise ValueError(
-                "evaluate_batch needs at least one assignment column")
-        by_level = {}
-        count = None
-        for name, col in columns.items():
-            if count is None:
-                count = len(col)
-            elif len(col) != count:
-                raise ValueError(
-                    f"assignment column {name!r} has {len(col)} values, "
-                    f"expected {count}")
-            by_level[bdd._name_to_level[name]] = col
-        for level in bdd._support_levels(self.edge):
-            if level not in by_level:
-                raise KeyError(
-                    f"assignment missing variable "
-                    f"{bdd._var_names[level]!r}")
-        return bdd._eval_batch(self.edge, by_level, count)
 
     # -- dunder plumbing --------------------------------------------------
 

@@ -63,7 +63,6 @@ import sys
 from pathlib import Path
 from typing import Callable, Dict, List, Optional
 
-from .bdd import kernel_context
 from .core import METHODS, Options, Problem, verify
 from .iclist.evaluate import GROW_THRESHOLD
 from .models import MODELS
@@ -90,8 +89,7 @@ _TABLES: Dict[str, Callable[[str], object]] = {
 def _build_problem(args: argparse.Namespace) -> Problem:
     spec = MODELS[args.model]
     params = {name: getattr(args, name) for name in spec.params}
-    with kernel_context(getattr(args, "kernel", None)):
-        return spec.build(bug=args.bug, **params)
+    return spec.build(bug=args.bug, **params)
 
 
 def _make_tracer(args: argparse.Namespace) -> Optional[Tracer]:
@@ -532,22 +530,6 @@ def _add_verify_parser(subparsers) -> None:
     parser.add_argument("--phils", type=int, default=4)
     parser.add_argument("--caches", type=int, default=3)
     # engine knobs
-    parser.add_argument("--kernel", default="auto",
-                        choices=["auto", "dict", "array"],
-                        help="BDD kernel backing the run: the flat "
-                             "array kernel (array; what auto picks) or "
-                             "the reference dict manager (dict) — "
-                             "edge-identical results either way")
-    parser.add_argument("--apply", default=None,
-                        choices=["recursive", "levelized", "auto"],
-                        help="apply path for the array kernel: "
-                             "depth-first recursion (recursive), "
-                             "breadth-first vectorized level sweeps "
-                             "(levelized), or recursive with an "
-                             "automatic switch once an operation "
-                             "proves large (auto); default inherits "
-                             "$REPRO_APPLY or recursive — results are "
-                             "function-identical either way")
     parser.add_argument("--max-nodes", type=int, default=None)
     parser.add_argument("--time-limit", type=float, default=None)
     parser.add_argument("--grow-threshold", type=float,

@@ -14,8 +14,6 @@ import json
 from dataclasses import dataclass, fields
 from typing import Any, Dict, Mapping, Optional, Union
 
-from ..bdd.kernel import KERNELS
-from ..bdd.levelized import APPLY_MODES
 from ..iclist.evaluate import GROW_THRESHOLD
 from ..iclist.tautology import VAR_CHOICES
 from ..obs.registry import MetricsRegistry
@@ -25,8 +23,9 @@ from ..trace import Tracer
 __all__ = ["Options", "OPTIONS_SCHEMA_VERSION", "request_hash"]
 
 #: Version of the serialized Options shape (:meth:`Options.to_dict`).
-#: Bump on any incompatible rename/retype of a serializable field.
-OPTIONS_SCHEMA_VERSION = 1
+#: Bump on any incompatible rename, retype or removal of a
+#: serializable field.
+OPTIONS_SCHEMA_VERSION = 2
 
 
 @dataclass
@@ -50,19 +49,6 @@ class Options:
     #: Garbage-collect the node table at iterate boundaries once it
     #: exceeds this size (None disables collection).
     gc_min_nodes: Optional[int] = 200_000
-    #: BDD kernel backing the run: "dict" (the reference tuple-keyed
-    #: manager), "array" (the flat struct-of-arrays kernel), or "auto"
-    #: (resolve to the fast kernel).  Both kernels are edge-identical;
-    #: this knob trades nothing but speed.
-    kernel: str = "auto"
-    #: Apply-path for the array kernel: "recursive" (depth-first over
-    #: the computed cache), "levelized" (breadth-first vectorized
-    #: sweeps, see :mod:`repro.bdd.levelized`), or "auto" (recursive
-    #: until an operation proves large, then restart it levelized).
-    #: None inherits the process default (``REPRO_APPLY`` or
-    #: "recursive").  Results are function-identical across modes; the
-    #: dict kernel ignores this knob.
-    apply: Optional[str] = None
 
     # -- dynamic variable reordering -----------------------------------------
     #: "none" keeps the build-time order; "sift" runs one Rudell
@@ -165,8 +151,6 @@ class Options:
         "back_image": "back_image_mode",
         "monotone": "exploit_monotonicity",
         "auto_decompose": "auto_decompose",
-        "kernel": "kernel",
-        "apply": "apply",
         "reorder": "reorder",
         "reorder_trigger": "reorder_trigger",
         "heartbeat": "heartbeat",
@@ -215,8 +199,6 @@ class Options:
         "max_iterations": (int,),
         "want_trace": (bool,),
         "gc_min_nodes": (int, type(None)),
-        "kernel": (str,),
-        "apply": (str, type(None)),
         "reorder": (str,),
         "reorder_trigger": (int, float),
         "cluster_limit": (int,),
@@ -337,8 +319,6 @@ class Options:
                 "pairwise_step3": self.pairwise_step3,
                 "exploit_monotonicity": self.exploit_monotonicity,
                 "auto_decompose": self.auto_decompose,
-                "kernel": self.kernel,
-                "apply": self.apply,
                 "reorder": self.reorder,
                 "reorder_trigger": self.reorder_trigger}
 
@@ -362,10 +342,6 @@ class Options:
                 f"unknown pairwise_step3 {self.pairwise_step3!r}")
         if self.pair_cache_capacity <= 0:
             raise ValueError("pair_cache_capacity must be positive")
-        if self.kernel not in ("auto",) + KERNELS:
-            raise ValueError(f"unknown BDD kernel {self.kernel!r}")
-        if self.apply is not None and self.apply not in APPLY_MODES:
-            raise ValueError(f"unknown apply mode {self.apply!r}")
         if self.reorder not in ("none", "sift", "auto"):
             raise ValueError(f"unknown reorder mode {self.reorder!r}")
         if self.reorder_trigger <= 1.0:

@@ -15,7 +15,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional
 
-from ..bdd.levelized import resolve_apply
 from ..bdd.manager import BDD, BudgetExceededError, Function
 from ..fsm.trace import Trace
 from ..obs.registry import NULL_REGISTRY
@@ -215,12 +214,6 @@ class RunRecorder:
         if options.time_limit is not None:
             manager._deadline = self._start + options.time_limit
         manager.auto_gc_min_nodes = options.gc_min_nodes
-        # Apply-path selection: Options(apply=None) inherits whatever
-        # the manager already runs (the process default); an explicit
-        # mode pins the manager for the run and is restored on finish.
-        self._saved_apply = manager.apply_mode
-        if options.apply is not None:
-            manager.apply_mode = resolve_apply(options.apply)
         # Dynamic reordering: arm the growth trigger for "auto" (the
         # one-shot "sift" pass runs via initial_reorder(), *inside* the
         # engine's budget handling) and observe every sift session —
@@ -419,7 +412,6 @@ class RunRecorder:
         elapsed = time.monotonic() - self._start
         (self.manager.max_nodes, self.manager._deadline,
          self.manager.auto_gc_min_nodes) = self._saved_budget
-        self.manager.apply_mode = self._saved_apply
         (self.manager.auto_sift_trigger,
          self.manager._auto_sift_baseline,
          self.manager.reorder_observer) = self._saved_reorder

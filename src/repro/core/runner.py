@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..bdd.levelized import resolve_apply
 from .options import Options
 from .problem import Problem
 from .result import VerificationResult
@@ -36,15 +35,6 @@ def verify(problem: Problem, method: str,
     method = method.lower()
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; pick from {METHODS}")
-    kernel = problem.machine.manager.kernel
-    if options is not None and options.kernel not in ("auto", kernel):
-        # The kernel is fixed when the problem's manager is built;
-        # an explicit conflicting request here would silently not
-        # take effect, so refuse it ("auto" accepts whatever runs).
-        raise ValueError(
-            f"options request kernel {options.kernel!r} but the "
-            f"problem was built on the {kernel!r} kernel; rebuild the "
-            f"model under that kernel (build_model(..., kernel=...))")
     conjuncts = problem.conjuncts(assisted=assisted)
     if method == "fwd":
         result = verify_forward(problem.machine, conjuncts, options)
@@ -63,15 +53,4 @@ def verify(problem: Problem, method: str,
         result = verify_xici(problem.machine, conjuncts, options)
     result.model = problem.name
     result.extra["assisted"] = assisted
-    result.extra["kernel"] = kernel
-    # The apply path the run actually used: the explicit option when
-    # set, else the mode the manager inherited from the process
-    # default.  The dict kernel has no levelized engine — its runs are
-    # always recursive regardless of the requested mode.
-    if kernel == "dict":
-        result.extra["apply"] = "recursive"
-    elif options is not None and options.apply is not None:
-        result.extra["apply"] = resolve_apply(options.apply)
-    else:
-        result.extra["apply"] = problem.machine.manager.apply_mode
     return result

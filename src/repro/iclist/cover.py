@@ -25,8 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-import networkx as nx
-
 from ..bdd.manager import Function
 from .conjlist import ConjList
 
@@ -48,7 +46,16 @@ class PairwiseCover:
 
 
 def optimal_pairwise_cover(conjlist: ConjList) -> PairwiseCover:
-    """Solve min-weight pairwise cover exactly (Theorem 2)."""
+    """Solve min-weight pairwise cover exactly (Theorem 2).
+
+    Needs the optional ``networkx`` dependency (``repro[cover]``).
+    """
+    try:
+        import networkx as nx
+    except ImportError as error:
+        raise ImportError(
+            "the matching evaluator needs networkx; install the "
+            "optional extra with: pip install 'repro[cover]'") from error
     conjuncts = conjlist.conjuncts
     n = len(conjuncts)
     if n == 0:

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Mapping, Optional, Tuple
 
-from ..bdd.kernel import kernel_context
 from ..core.problem import Problem
 from .fifo import typed_fifo
 from .network import message_network
@@ -102,17 +101,11 @@ def available_models() -> Tuple[str, ...]:
 
 
 def build_model(name: str, bug: Optional[str] = None,
-                kernel: Optional[str] = None,
                 **params: object) -> Problem:
-    """Build a model by registry name (the facade's entry point).
-
-    ``kernel`` selects the BDD kernel the model's manager is built on
-    ("dict", "array", or "auto"); None keeps the process default.
-    """
+    """Build a model by registry name (the facade's entry point)."""
     try:
         spec = MODELS[name]
     except KeyError:
         raise ValueError(f"unknown model {name!r}; "
                          f"pick from {available_models()}") from None
-    with kernel_context(kernel):
-        return spec.build(bug=bug, **params)
+    return spec.build(bug=bug, **params)

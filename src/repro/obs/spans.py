@@ -117,11 +117,11 @@ class _Frame:
     """One open span on the stack."""
 
     __slots__ = ("sid", "name", "depth", "t0", "child_seconds", "attrs",
-                 "nodes0", "gc0", "hits0", "lw0", "recorded")
+                 "nodes0", "gc0", "hits0", "recorded")
 
     def __init__(self, sid: int, name: str, depth: int, t0: float,
                  attrs: Dict[str, Any], nodes0: int, gc0: int,
-                 hits0: int, lw0: int, recorded: bool) -> None:
+                 hits0: int, recorded: bool) -> None:
         self.sid = sid
         self.name = name
         self.depth = depth
@@ -131,7 +131,6 @@ class _Frame:
         self.nodes0 = nodes0
         self.gc0 = gc0
         self.hits0 = hits0
-        self.lw0 = lw0
         self.recorded = recorded
 
 
@@ -194,26 +193,25 @@ class SpanProfiler(NullSpanSink):
     def _counters(self) -> tuple:
         manager = self._manager
         if manager is None:
-            return (0, 0, 0, 0)
+            return (0, 0, 0)
         return (manager._nodes_created, manager._gc_runs,
                 manager._ite_hits + manager._quant_hits
                 + manager._andex_hits + manager._restrict_hits
-                + manager._constrain_hits,
-                getattr(manager, "_levelized_peak_width", 0))
+                + manager._constrain_hits)
 
     # -- span lifecycle -------------------------------------------------
 
     def open_span(self, name: str, **attrs: Any) -> Optional[int]:
         sid = self._next_sid
         self._next_sid += 1
-        nodes0, gc0, hits0, lw0 = self._counters()
+        nodes0, gc0, hits0 = self._counters()
         recorded = len(self.records) + len(self._stack) < self.max_records
         if not recorded:
             self.dropped += 1
         self._stack.append(_Frame(sid, name, len(self._stack),
                                   time.perf_counter() - self._epoch,
                                   dict(attrs) if attrs else {},
-                                  nodes0, gc0, hits0, lw0, recorded))
+                                  nodes0, gc0, hits0, recorded))
         return sid
 
     def annotate(self, handle: Optional[int], **attrs: Any) -> None:
@@ -230,31 +228,25 @@ class SpanProfiler(NullSpanSink):
         if not any(frame.sid == handle for frame in self._stack):
             return  # already force-closed by an ancestor
         t1 = time.perf_counter() - self._epoch
-        nodes1, gc1, hits1, lw1 = self._counters()
+        nodes1, gc1, hits1 = self._counters()
         while self._stack:
             frame = self._stack.pop()
             if frame.sid == handle and attrs:
                 frame.attrs.update(attrs)
-            self._close_frame(frame, t1, nodes1, gc1, hits1, lw1)
+            self._close_frame(frame, t1, nodes1, gc1, hits1)
             if frame.sid == handle:
                 return
 
     def _close_frame(self, frame: _Frame, t1: float, nodes1: int,
-                     gc1: int, hits1: int, lw1: int) -> None:
+                     gc1: int, hits1: int) -> None:
         seconds = max(0.0, t1 - frame.t0)
         self_seconds = max(0.0, seconds - frame.child_seconds)
         if self._stack:
             self._stack[-1].child_seconds += seconds
-        # The manager tracks a lifetime high-water mark; the span saw a
-        # new per-level peak only when the mark rose while it was open.
-        # Zero otherwise — "no new peak inside this span", aggregated
-        # as a max, never summed.
-        peak_width = lw1 if lw1 > frame.lw0 else 0
         agg = self.aggregates.get(frame.name)
         if agg is None:
             agg = {"count": 0, "seconds": 0.0, "self_seconds": 0.0,
-                   "nodes_created": 0, "gc_runs": 0, "cache_hits": 0,
-                   "levelized_peak_width": 0}
+                   "nodes_created": 0, "gc_runs": 0, "cache_hits": 0}
             self.aggregates[frame.name] = agg
         agg["count"] += 1
         agg["seconds"] += seconds
@@ -262,8 +254,6 @@ class SpanProfiler(NullSpanSink):
         agg["nodes_created"] += nodes1 - frame.nodes0
         agg["gc_runs"] += gc1 - frame.gc0
         agg["cache_hits"] += hits1 - frame.hits0
-        if peak_width > agg["levelized_peak_width"]:
-            agg["levelized_peak_width"] = peak_width
         if not frame.recorded:
             return
         parent = self._stack[-1].sid if self._stack else None
@@ -278,7 +268,6 @@ class SpanProfiler(NullSpanSink):
             "nodes_created": nodes1 - frame.nodes0,
             "gc_runs": gc1 - frame.gc0,
             "cache_hits": hits1 - frame.hits0,
-            "levelized_peak_width": peak_width,
             "attrs": frame.attrs,
         })
 
@@ -310,8 +299,6 @@ class SpanProfiler(NullSpanSink):
                 "nodes_created": agg["nodes_created"],
                 "gc_runs": agg["gc_runs"],
                 "cache_hits": agg["cache_hits"],
-                "levelized_peak_width": agg.get(
-                    "levelized_peak_width", 0),
             }
         return table
 
@@ -417,8 +404,7 @@ def render_rollup(rollup: Dict[str, Dict[str, Any]]) -> str:
         return "span rollup: (no spans recorded)"
     lines = ["span rollup (self time, heaviest first):"]
     header = (f"  {'span':<18} {'count':>7} {'total s':>9} "
-              f"{'self s':>9} {'nodes+':>9} {'gc':>4} {'hits':>9} "
-              f"{'lvlw':>6}")
+              f"{'self s':>9} {'nodes+':>9} {'gc':>4} {'hits':>9}")
     lines.append(header)
     lines.append("  " + "-" * (len(header) - 2))
     names = sorted(rollup, key=lambda n: rollup[n]["self_seconds"],
@@ -428,6 +414,5 @@ def render_rollup(rollup: Dict[str, Dict[str, Any]]) -> str:
         lines.append(
             f"  {name:<18} {agg['count']:>7} {agg['seconds']:>9.4f} "
             f"{agg['self_seconds']:>9.4f} {agg['nodes_created']:>9} "
-            f"{agg['gc_runs']:>4} {agg['cache_hits']:>9} "
-            f"{agg.get('levelized_peak_width', 0):>6}")
+            f"{agg['gc_runs']:>4} {agg['cache_hits']:>9}")
     return "\n".join(lines)

@@ -58,8 +58,6 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, List, Optional, Tuple
 from urllib.parse import parse_qs, urlparse
 
-from ..bdd.kernel import default_kernel
-from ..bdd.levelized import default_apply
 from ..core import METHODS
 from ..core.options import OPTIONS_SCHEMA_VERSION
 from ..models import MODELS
@@ -271,8 +269,6 @@ class VerificationService:
             "cache_enabled": self.pipeline.use_cache,
             "metrics_enabled": self.telemetry.enabled,
             "ledger_dir": self.pipeline.ledger_dir,
-            "kernel": default_kernel(),
-            "apply": default_apply(),
             "jobs_by_state": states,
             "retention": {
                 "max_finished_jobs": self.retention.max_finished,

@@ -130,12 +130,19 @@ class JobEventLog:
         """No-op (lines are committed on newline)."""
 
 
+#: Keys the event log stamps on every line itself.
+_LOG_KEYS = ("seq", "ts", "kind", "request_id")
+
+
 class JobEventTracer(Tracer):
     """A :class:`~repro.trace.Tracer` that records into the event log.
 
     Gives service clients the same structured engine events the JSONL
     tracer streams to disk, one ``{"kind": "trace", "event": ...}``
-    per emit.  Observational only, like every tracer.
+    per emit.  An engine field named like one of the log's own keys
+    (``seq``, ``ts``, ``kind``, ``request_id``) gets a ``trace_``
+    prefix, so ``budget_check``'s ``kind="time"`` arrives as
+    ``trace_kind``.  Observational only, like every tracer.
     """
 
     enabled = True
@@ -144,6 +151,9 @@ class JobEventTracer(Tracer):
         self._log = log
 
     def emit(self, event: str, **fields: Any) -> None:
+        for key in _LOG_KEYS:
+            if key in fields:
+                fields["trace_" + key] = fields.pop(key)
         self._log.append("trace", event=event, **fields)
 
 

@@ -8,9 +8,7 @@ through:
    the ledger's request index (:func:`repro.obs.ledger.lookup_request`).
    A hit finishes the job immediately with the archived run document:
    one engine execution per distinct request, ever, per ledger.
-2. **Build** — the model registry constructs the problem on the
-   requested BDD kernel (thread-local :func:`kernel_context`, so
-   concurrent workers on different kernels never interfere).
+2. **Build** — the model registry constructs the problem.
 3. **Run** — ``repro.verify`` with the request's Options, plus the
    job's observability sinks attached: a
    :class:`~repro.serve.jobs.JobEventTracer` for structured engine
@@ -112,11 +110,10 @@ class VerificationPipeline:
             return
         request = job.request
         options = self._job_options(job)
-        job.events.append("build_start", model=request.model,
-                          kernel=options.kernel)
+        job.events.append("build_start", model=request.model)
         with spans.span("build"):
             problem = build_model(request.model, bug=request.bug,
-                                  kernel=options.kernel, **request.params)
+                                  **request.params)
         if not job.attach_manager(problem.machine.manager):
             # Cancelled between dequeue and build finish.
             self._bump("jobs_cancelled", "jobs_cancelled")

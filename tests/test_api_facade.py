@@ -2,6 +2,10 @@
 
 import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -42,6 +46,25 @@ class TestFacadeExports:
         assert core_verify is runner_verify is repro.verify
         assert OldOptions is repro.Options
         assert repro.MODELS["fifo"].builder is typed_fifo
+
+
+class TestImportFootprint:
+    def test_default_verify_loads_neither_numpy_nor_networkx(self):
+        # Both are optional: networkx only backs the matching evaluator
+        # (the ``cover`` extra), and nothing needs numpy.
+        script = (
+            "import sys, repro\n"
+            "problem = repro.build_model('fifo', depth=3)\n"
+            "assert repro.verify(problem, 'xici').verified\n"
+            "print(sorted(name for name in ('numpy', 'networkx')\n"
+            "             if name in sys.modules))\n")
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        run = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.strip() == "[]"
 
 
 class TestModelRegistry:

@@ -243,6 +243,24 @@ class TestBudgets:
         assert (a & b).edge == f.edge
 
 
+class TestClearCaches:
+    def test_clear_caches_counts_compose_entries(self):
+        # The eviction tally must include in-flight compose caches
+        # (they only exist mid-operation, so stage one directly).
+        manager = BDD()
+        manager._ite_cache.clear()
+        manager._quant_cache.clear()
+        manager._andex_cache.clear()
+        manager._restrict_cache.clear()
+        manager._constrain_cache.clear()
+        manager._compose_caches[1] = {3: 0, 5: 1, 7: 0}
+        before = manager.stats()["cache_evictions"]
+        manager.clear_caches()
+        evicted = manager.stats()["cache_evictions"] - before
+        assert evicted == 3
+        assert not manager._compose_caches
+
+
 class TestStructuralQueries:
     def test_support(self, manager):
         a, c = manager.var("a"), manager.var("c")

@@ -16,8 +16,6 @@ EXPECTED_KEYS = {
     "nodes_peak", "gc_runs", "gc_freed", "bounded_and_calls",
     "bounded_and_aborts", "reorder_runs", "reorder_swaps",
     "reorder_time_ms", "reorder_nodes_before", "reorder_nodes_after",
-    "opcache_evictions", "levelized_calls", "levelized_requests",
-    "levelized_peak_width",
 }
 
 

@@ -85,77 +85,3 @@ class TestTableRunners:
         monkeypatch.setenv("REPRO_FULL", "1")
         assert chosen_scale() == "paper"
 
-
-# Quick-scale parameters for each paper model, for the kernel sweep.
-_KERNEL_SWEEP_MODELS = {
-    "fifo": {"depth": 3, "width": 4},
-    "network": {"procs": 2},
-    "movavg": {"depth": 4, "width": 2},
-    "pipeline": {"regs": 2, "bits": 1},
-}
-
-# Every model x method cell except ici-pipeline: unassisted ICI on the
-# pipeline is infeasible even at the smallest size (the paper's Table 3
-# shows the same — it needs the assisted invariant), on either kernel.
-_KERNEL_SWEEP_CELLS = [
-    (model, method)
-    for model in sorted(_KERNEL_SWEEP_MODELS)
-    for method in ("fwd", "bkwd", "ici", "xici")
-    if (model, method) != ("pipeline", "ici")
-]
-
-
-class TestKernelSweep:
-    """The four paper models, dict kernel vs the flat array kernel.
-
-    Results (not just outcomes — iteration counts, node profiles, peak
-    sizes) must be identical: the kernels are edge-identical by
-    contract, so any divergence here is a kernel bug.
-    """
-
-    @pytest.mark.parametrize("model,method", _KERNEL_SWEEP_CELLS)
-    def test_paper_models_match_across_kernels(self, model, method):
-        from repro.models import build_model
-
-        from repro.bdd.levelized import default_apply
-
-        def run(kernel):
-            params = _KERNEL_SWEEP_MODELS[model]
-            problem = build_model(model, kernel=kernel, **params)
-            result = verify_model(problem, method, kernel)
-            doc = result.to_dict()
-            doc.pop("elapsed_seconds", None)
-            doc.pop("time", None)
-            doc["extra"].pop("kernel", None)
-            # The dict kernel always runs recursive, so the recorded
-            # apply path differs by design under a levelized ambient.
-            doc["extra"].pop("apply", None)
-            # Cache accounting is the one documented divergence: the
-            # array kernel's caches are lossy, so it may recompute (and
-            # recount) work, and eviction counts follow a different
-            # mechanism.  Everything structural must match exactly.
-            doc["bdd_stats"] = {
-                key: value for key, value in doc["bdd_stats"].items()
-                if key not in ("cache_evictions", "opcache_evictions",
-                               "levelized_calls", "levelized_requests",
-                               "levelized_peak_width")
-                and not key.endswith(("_hits", "_misses"))}
-            if default_apply() != "recursive":
-                # The dict kernel has no levelized engine, so under a
-                # non-recursive ambient apply mode the two kernels run
-                # different apply paths: same canonical BDDs, different
-                # node allocation order.  Allocation artifacts may
-                # diverge; everything semantic must still match.
-                doc.pop("peak_nodes", None)
-                doc.pop("estimated_memory_kb", None)
-                for key in ("nodes_created", "nodes_current",
-                            "nodes_peak", "gc_freed"):
-                    doc["bdd_stats"].pop(key, None)
-            return doc
-
-        assert run("dict") == run("array")
-
-
-def verify_model(problem, method, kernel):
-    from repro.core import Options, verify
-    return verify(problem, method, Options(kernel=kernel))

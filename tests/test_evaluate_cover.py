@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -147,6 +148,11 @@ class TestMatchingCover:
         cover = optimal_pairwise_cover(single)
         assert cover.subsets == ((0,),)
         assert cover.cost == manager.var("a").size()
+
+    def test_missing_networkx_names_the_extra(self, manager, monkeypatch):
+        monkeypatch.setitem(sys.modules, "networkx", None)
+        with pytest.raises(ImportError, match=r"repro\[cover\]"):
+            optimal_pairwise_cover(ConjList(manager, [manager.var("a")]))
 
     def test_matching_evaluate_in_place(self, manager):
         a, b = manager.var("a"), manager.var("b")

@@ -25,7 +25,6 @@ def _non_default(options: Options) -> Options:
         max_iterations=77,
         want_trace=False,
         gc_min_nodes=None,
-        kernel="dict",
         reorder="auto",
         reorder_trigger=3.5,
         cluster_limit=999,
@@ -84,9 +83,13 @@ class TestRejection:
         with pytest.raises(ValueError, match="JSON object"):
             Options.from_dict(["kernel", "dict"])
 
-    def test_unknown_key_rejected_with_field_list(self):
-        with pytest.raises(ValueError, match="kernle"):
-            Options.from_dict({"kernle": "dict"})
+    # Clients of options schema 1 may still send ``kernel``/``apply``.
+    @pytest.mark.parametrize("key", ["kernle", "kernel", "apply"])
+    def test_unknown_key_rejected_with_field_list(self, key):
+        with pytest.raises(ValueError,
+                           match=rf"unknown options field\(s\) \['{key}'\]"
+                                 r"; valid fields: \["):
+            Options.from_dict({key: "dict"})
 
     @pytest.mark.parametrize("sink", Options.SINK_FIELDS)
     def test_sink_fields_rejected(self, sink):
@@ -110,7 +113,6 @@ class TestRejection:
         ("simplifier", "magic"),
         ("var_choice", "random"),
         ("pairwise_step3", "maybe"),
-        ("kernel", "gpu"),
         ("reorder", "always"),
         ("back_image_mode", "psychic"),
     ])

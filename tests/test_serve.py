@@ -437,6 +437,26 @@ class TestServerEndToEnd:
         finally:
             server.stop()
 
+    def test_time_limit_job_streams_budget_checks(self):
+        # budget_check carries its own ``kind`` field; it must not
+        # collide with the event log's ``kind`` and kill the job.
+        server = _start_server()
+        try:
+            client = ServiceClient(server.url)
+            job = client.submit("fifo", method="xici",
+                                params={"depth": 3, "width": 4},
+                                options=Options(time_limit=60))
+            done = client.wait(job["id"], timeout=60)
+            assert done["state"] == "done", done.get("error")
+            assert done["result"]["outcome"] == "verified"
+            checks = [event for event in client.events(job["id"])
+                      if event["kind"] == "trace"
+                      and event["event"] == "budget_check"]
+            assert checks
+            assert all(event["trace_kind"] == "time" for event in checks)
+        finally:
+            server.stop()
+
     def test_malformed_http_requests_get_structured_400s(self):
         server = _start_server()
         try:
