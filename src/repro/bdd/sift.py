@@ -25,10 +25,10 @@ pessimistic but always consistent.
 
 Budgets are enforced at swap *boundaries* only (a half-finished swap
 must never be observable).  On :class:`BudgetExceededError` the session
-still closes normally — final collection, cache flush, statistics,
-observer call — and then re-raises, so the engines' existing budget
-handling sees a consistent manager with the partially-improved order
-left in place.
+still closes normally — final collection, cache flush, statistics, the
+probe's ``sift`` report — and then re-raises, so the engines' existing
+budget handling sees a consistent manager with the partially-improved
+order left in place.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ __all__ = ["SiftResult", "sift"]
 
 @dataclass
 class SiftResult:
-    """Summary of one sifting session (also passed to the observer)."""
+    """Summary of one sifting session."""
 
     reason: str          #: what triggered the session (manual/sift/auto)
     vars_sifted: int     #: variables fully repositioned
@@ -53,12 +53,6 @@ class SiftResult:
     nodes_after: int     #: live nodes at session close (post-GC)
     seconds: float       #: wall-clock duration of the session
     aborted: Optional[str] = None  #: budget kind that cut it short
-
-    def as_dict(self) -> dict:
-        return {"reason": self.reason, "vars_sifted": self.vars_sifted,
-                "swaps": self.swaps, "nodes_before": self.nodes_before,
-                "nodes_after": self.nodes_after, "seconds": self.seconds,
-                "aborted": self.aborted}
 
 
 class _Session:
@@ -173,60 +167,48 @@ def sift(manager: BDD, max_growth: float = 1.2,
                           nodes_before=len(manager._level),
                           nodes_after=len(manager._level), seconds=0.0)
     manager._in_reorder = True
-    spans = manager.spans
-    span = spans.open_span("sift", reason=reason) if spans.enabled else None
     vars_sifted = 0
     abort: Optional[BudgetExceededError] = None
     try:
-        manager.garbage_collect()
-        _build_refs(manager)
-        nodes_before = len(manager._level)
-        session = _Session(total=sum(manager.level_sizes()),
-                           start_live=nodes_before)
-        members = manager._level_members
-        names = sorted(
-            manager.var_names,
-            key=lambda v: len(members[manager.level_of(v)]),
-            reverse=True)
-        if max_vars is not None:
-            names = names[:max_vars]
-        try:
-            for name in names:
-                _sift_one(manager, name, max_growth, session)
-                vars_sifted += 1
-        except BudgetExceededError as error:
-            abort = error
-        # Session close: one flush for the whole swap batch, then a
-        # collection so the caller resumes on a garbage-free table.
-        manager._flush_after_reorder()
-        manager.garbage_collect()
-        nodes_after = len(manager._level)
-        result = SiftResult(
-            reason=reason, vars_sifted=vars_sifted,
-            swaps=manager._reorder_swaps - swaps_before,
-            nodes_before=nodes_before, nodes_after=nodes_after,
-            seconds=time.monotonic() - started,
-            aborted=abort.kind if abort is not None else None)
-        manager._reorder_runs += 1
-        manager._reorder_time_ms += int(result.seconds * 1000)
-        manager._reorder_nodes_before += nodes_before
-        manager._reorder_nodes_after += nodes_after
-        metrics = manager.metrics
-        if metrics.enabled:
-            metrics.inc("sift_sessions")
-            metrics.inc("sift_swaps", result.swaps)
-            metrics.inc("sift_vars_sifted", result.vars_sifted)
-            metrics.observe_time("sift_seconds", result.seconds)
-            metrics.observe_size("sift_nodes_after", nodes_after)
-            saved = nodes_before - nodes_after
-            if saved > 0:
-                metrics.inc("sift_nodes_saved", saved)
-        if manager.reorder_observer is not None:
-            manager.reorder_observer(result.as_dict())
-        if span is not None:
-            spans.close_span(span, swaps=result.swaps,
-                             vars_sifted=result.vars_sifted,
-                             aborted=result.aborted)
+        with manager.probe.span("sift", reason=reason) as span:
+            manager.garbage_collect()
+            _build_refs(manager)
+            nodes_before = len(manager._level)
+            session = _Session(total=sum(manager.level_sizes()),
+                               start_live=nodes_before)
+            members = manager._level_members
+            names = sorted(
+                manager.var_names,
+                key=lambda v: len(members[manager.level_of(v)]),
+                reverse=True)
+            if max_vars is not None:
+                names = names[:max_vars]
+            try:
+                for name in names:
+                    _sift_one(manager, name, max_growth, session)
+                    vars_sifted += 1
+            except BudgetExceededError as error:
+                abort = error
+            # Session close: one flush for the whole swap batch, then a
+            # collection so the caller resumes on a garbage-free table.
+            manager._flush_after_reorder()
+            manager.garbage_collect()
+            nodes_after = len(manager._level)
+            result = SiftResult(
+                reason=reason, vars_sifted=vars_sifted,
+                swaps=manager._reorder_swaps - swaps_before,
+                nodes_before=nodes_before, nodes_after=nodes_after,
+                seconds=time.monotonic() - started,
+                aborted=abort.kind if abort is not None else None)
+            manager._reorder_runs += 1
+            manager._reorder_vars_sifted += vars_sifted
+            manager._reorder_seconds += result.seconds
+            manager._reorder_time_ms += int(result.seconds * 1000)
+            manager._reorder_nodes_before += nodes_before
+            manager._reorder_nodes_after += nodes_after
+            span.note(vars_sifted=vars_sifted, swaps=result.swaps,
+                      nodes_before=nodes_before, nodes_after=nodes_after,
+                      aborted=result.aborted)
     finally:
         manager._in_reorder = False
         manager._sift_refs = None

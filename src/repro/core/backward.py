@@ -11,11 +11,9 @@ in the iterates themselves.
 
 from __future__ import annotations
 
-import time
 from typing import List, Optional, Sequence
 
-from ..bdd.manager import BudgetExceededError, Function
-from ..trace import BACK_IMAGE, TERMINATION
+from ..bdd.manager import Function
 from ..fsm.machine import Machine
 from ..fsm.image import back_image
 from ..fsm.trace import Trace, backward_counterexample
@@ -31,18 +29,14 @@ def verify_backward(machine: Machine, good_conjuncts: Sequence[Function],
     if options is None:
         options = Options()
     recorder = RunRecorder("Bkwd", machine.name, machine.manager, options)
-    try:
-        return _run(machine, good_conjuncts, options, recorder)
-    except BudgetExceededError as error:
-        return recorder.finish_budget(error)
+    return recorder.run(_run, machine, good_conjuncts, options)
 
 
 def _run(machine: Machine, good_conjuncts: Sequence[Function],
          options: Options, recorder: RunRecorder) -> VerificationResult:
     recorder.initial_reorder()
     manager = machine.manager
-    tracer = recorder.tracer
-    metrics = recorder.metrics
+    probe = recorder.probe
     good = manager.conj(good_conjuncts)
     current = good
     not_rings: List[Function] = [~good]
@@ -50,42 +44,24 @@ def _run(machine: Machine, good_conjuncts: Sequence[Function],
                             conjuncts=[current])
     if not machine.init.entails(current):
         return _violation(machine, not_rings, options, recorder)
-    spans = recorder.spans
     while recorder.iterations < options.max_iterations:
         recorder.check_time()
         recorder.iterations += 1
-        with recorder.span("iteration", index=recorder.iterations):
-            observed = tracer.enabled or metrics.enabled
-            handle = spans.open_span("back_image") \
-                if spans.enabled else None
-            if observed:
-                t0 = time.monotonic()
-            image = back_image(machine, current,
-                               options.back_image_mode,
-                               options.cluster_limit)
-            if observed:
-                seconds = time.monotonic() - t0
-                if tracer.enabled:
-                    tracer.emit(BACK_IMAGE,
-                                mode=options.back_image_mode,
-                                input_size=current.size(),
-                                output_size=image.size(),
-                                seconds=round(seconds, 6))
-                if metrics.enabled:
-                    metrics.inc("back_image_calls")
-                    metrics.observe_time("back_image_seconds", seconds)
-                    metrics.observe_size("back_image_output_nodes",
-                                         image.size())
-            if handle is not None:
-                spans.close_span(handle, output_size=image.size())
+        with probe.span("iteration", index=recorder.iterations):
+            with probe.span("back_image", mode=options.back_image_mode,
+                            input=current) as s:
+                image = back_image(machine, current,
+                                   options.back_image_mode,
+                                   options.cluster_limit)
+                s.note(output=image)
             successor = good & image
             not_rings.append(~successor)
             recorder.record_iterate(successor.size(), str(successor.size()),
                                     conjuncts=[successor])
-            converged = successor.equiv(current)
-            if tracer.enabled:
-                tracer.emit(TERMINATION, converged=converged,
-                            tiers={"canonical": 1})
+            with probe.span("termination_test",
+                            tiers={"canonical": 1}) as s:
+                converged = successor.equiv(current)
+                s.note(converged=converged)
             if converged:
                 return recorder.finish(Outcome.VERIFIED, holds=True)
             if not machine.init.entails(successor):

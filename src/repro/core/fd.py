@@ -23,12 +23,10 @@ techniques compete against.
 
 from __future__ import annotations
 
-import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..bdd.manager import BudgetExceededError, Function
+from ..bdd.manager import Function
 from ..bdd.sizing import format_profile, shared_size
-from ..trace import IMAGE, TERMINATION
 from ..fsm.machine import Machine
 from ..fsm.image import clustered_image
 from ..fsm.trace import Trace, forward_counterexample
@@ -81,11 +79,8 @@ def verify_fd(machine: Machine, good_conjuncts: Sequence[Function],
     if options is None:
         options = Options()
     recorder = RunRecorder("FD", machine.name, machine.manager, options)
-    try:
-        return _run(machine, list(good_conjuncts), list(dependent_bits),
-                    options, recorder)
-    except BudgetExceededError as error:
-        return recorder.finish_budget(error)
+    return recorder.run(_run, machine, list(good_conjuncts),
+                        list(dependent_bits), options)
 
 
 def _profile(reduced: Function, funcs: Dict[str, Function]) -> Tuple[int, str]:
@@ -117,8 +112,7 @@ def _run(machine: Machine, good_conjuncts: List[Function],
     unprime = machine.unprime_map()
     quantify = list(independent) + list(machine.input_names)
 
-    tracer = recorder.tracer
-    metrics = recorder.metrics
+    probe = recorder.probe
     try:
         reduced, funcs = extract_dependencies(machine.init, dependent)
     except DependencyError:
@@ -131,11 +125,10 @@ def _run(machine: Machine, good_conjuncts: List[Function],
     if _violates(reduced, funcs, good_conjuncts):
         return _violation(machine, full_history, good_conjuncts,
                           options, recorder)
-    spans = recorder.spans
     while recorder.iterations < options.max_iterations:
         recorder.check_time()
         recorder.iterations += 1
-        with recorder.span("iteration", index=recorder.iterations):
+        with probe.span("iteration", index=recorder.iterations):
             # Substitute dependents out of the transition functions.
             delta_c = {name: fn.compose(funcs)
                        for name, fn in machine.delta.items()}
@@ -143,29 +136,12 @@ def _run(machine: Machine, good_conjuncts: List[Function],
             source = reduced & assume_c
             indep_parts = [manager.var(prime[name]).iff(delta_c[name])
                            for name in independent]
-            observed = tracer.enabled or metrics.enabled
-            handle = spans.open_span("image") if spans.enabled else None
-            if observed:
-                t0 = time.monotonic()
-            image_reduced = clustered_image(
-                source, indep_parts, quantify,
-                {prime[name]: name for name in independent},
-                options.cluster_limit)
-            if observed:
-                seconds = time.monotonic() - t0
-                if tracer.enabled:
-                    tracer.emit(IMAGE, mode="fd-reduced",
-                                input_size=source.size(),
-                                output_size=image_reduced.size(),
-                                seconds=round(seconds, 6))
-                if metrics.enabled:
-                    metrics.inc("image_calls")
-                    metrics.observe_time("image_seconds", seconds)
-                    metrics.observe_size("image_output_nodes",
-                                         image_reduced.size())
-            if handle is not None:
-                spans.close_span(handle,
-                                 output_size=image_reduced.size())
+            with probe.span("image", mode="fd-reduced", input=source) as s:
+                image_reduced = clustered_image(
+                    source, indep_parts, quantify,
+                    {prime[name]: name for name in independent},
+                    options.cluster_limit)
+                s.note(output=image_reduced)
             new_funcs: Dict[str, Function] = {}
             failed = False
             for name in dependent:
@@ -208,12 +184,12 @@ def _run(machine: Machine, good_conjuncts: List[Function],
             if _violates(union_reduced, merged_funcs, good_conjuncts):
                 return _violation(machine, full_history, good_conjuncts,
                                   options, recorder)
-            converged = union_reduced.equiv(reduced) and all(
-                (reduced & (merged_funcs[n] ^ funcs[n])).is_false
-                for n in dependent)
-            if tracer.enabled:
-                tracer.emit(TERMINATION, converged=converged,
-                            tiers={"canonical": 1})
+            with probe.span("termination_test",
+                            tiers={"canonical": 1}) as s:
+                converged = union_reduced.equiv(reduced) and all(
+                    (reduced & (merged_funcs[n] ^ funcs[n])).is_false
+                    for n in dependent)
+                s.note(converged=converged)
             if converged:
                 return recorder.finish(Outcome.VERIFIED, holds=True)
             reduced, funcs = union_reduced, merged_funcs

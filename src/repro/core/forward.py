@@ -14,11 +14,9 @@ that.)
 
 from __future__ import annotations
 
-import time
 from typing import Optional, Sequence
 
-from ..bdd.manager import BudgetExceededError, Function
-from ..trace import IMAGE, TERMINATION
+from ..bdd.manager import Function
 from ..fsm.machine import Machine
 from ..fsm.image import ImageComputer
 from ..fsm.trace import Trace, forward_counterexample
@@ -34,18 +32,14 @@ def verify_forward(machine: Machine, good_conjuncts: Sequence[Function],
     if options is None:
         options = Options()
     recorder = RunRecorder("Fwd", machine.name, machine.manager, options)
-    try:
-        return _run(machine, good_conjuncts, options, recorder)
-    except BudgetExceededError as error:
-        return recorder.finish_budget(error)
+    return recorder.run(_run, machine, good_conjuncts, options)
 
 
 def _run(machine: Machine, good_conjuncts: Sequence[Function],
          options: Options, recorder: RunRecorder) -> VerificationResult:
     recorder.initial_reorder()
     manager = machine.manager
-    tracer = recorder.tracer
-    metrics = recorder.metrics
+    probe = recorder.probe
     good = manager.conj(good_conjuncts)
     computer = ImageComputer(machine, options.cluster_limit)
     reached = machine.init
@@ -55,41 +49,24 @@ def _run(machine: Machine, good_conjuncts: Sequence[Function],
                             conjuncts=[reached])
     if reached.intersects(~good):
         return _violation(machine, rings, good, options, recorder)
-    spans = recorder.spans
     while recorder.iterations < options.max_iterations:
         recorder.check_time()
         recorder.iterations += 1
-        with recorder.span("iteration", index=recorder.iterations):
+        with probe.span("iteration", index=recorder.iterations):
             source = frontier if options.use_frontier else reached
-            observed = tracer.enabled or metrics.enabled
-            handle = spans.open_span("image") if spans.enabled else None
-            if observed:
-                t0 = time.monotonic()
-            image = computer.image(source)
-            if observed:
-                seconds = time.monotonic() - t0
-                if tracer.enabled:
-                    tracer.emit(IMAGE, mode="clustered",
-                                input_size=source.size(),
-                                output_size=image.size(),
-                                seconds=round(seconds, 6))
-                if metrics.enabled:
-                    metrics.inc("image_calls")
-                    metrics.observe_time("image_seconds", seconds)
-                    metrics.observe_size("image_output_nodes",
-                                         image.size())
-            if handle is not None:
-                spans.close_span(handle, output_size=image.size())
+            with probe.span("image", mode="clustered", input=source) as s:
+                image = computer.image(source)
+                s.note(output=image)
             successor = reached | image
             rings.append(successor)
             recorder.record_iterate(successor.size(), str(successor.size()),
                                     conjuncts=[successor])
             if successor.intersects(~good):
                 return _violation(machine, rings, good, options, recorder)
-            converged = successor.equiv(reached)
-            if tracer.enabled:
-                tracer.emit(TERMINATION, converged=converged,
-                            tiers={"canonical": 1})
+            with probe.span("termination_test",
+                            tiers={"canonical": 1}) as s:
+                converged = successor.equiv(reached)
+                s.note(converged=converged)
             if converged:
                 return recorder.finish(Outcome.VERIFIED, holds=True)
             frontier = image & ~reached

@@ -25,12 +25,10 @@ here" beyond their key weaknesses (Section II.C):
 
 from __future__ import annotations
 
-import time
 from typing import List, Optional, Sequence
 
-from ..bdd.manager import BudgetExceededError, Function
+from ..bdd.manager import Function
 from ..bdd.sizing import SizeMemo, format_profile, shared_size
-from ..trace import BACK_IMAGE, TERMINATION
 from ..fsm.machine import Machine
 from ..fsm.image import back_image
 from .options import Options
@@ -52,10 +50,7 @@ def verify_ici(machine: Machine, good_conjuncts: Sequence[Function],
     if options is None:
         options = Options()
     recorder = RunRecorder("ICI", machine.name, machine.manager, options)
-    try:
-        return _run(machine, list(good_conjuncts), options, recorder)
-    except BudgetExceededError as error:
-        return recorder.finish_budget(error)
+    return recorder.run(_run, machine, list(good_conjuncts), options)
 
 
 def _simplify_positional(manager, conjuncts: List[Function],
@@ -129,8 +124,7 @@ def _run(machine: Machine, good_conjuncts: List[Function],
          options: Options, recorder: RunRecorder) -> VerificationResult:
     recorder.initial_reorder()
     manager = machine.manager
-    tracer = recorder.tracer
-    metrics = recorder.metrics
+    probe = recorder.probe
     size_memo = SizeMemo(manager) if options.use_pair_cache else None
     current = _simplify_positional(manager, list(good_conjuncts), options,
                                    size_memo)
@@ -140,36 +134,19 @@ def _run(machine: Machine, good_conjuncts: List[Function],
     recorder.extra["list_length"] = len(current)
     if find_failing_conjunct(machine.init, current) is not None:
         return _violation(machine, history, options, recorder)
-    spans = recorder.spans
     while recorder.iterations < options.max_iterations:
         recorder.check_time()
         recorder.iterations += 1
-        with recorder.span("iteration", index=recorder.iterations):
+        with probe.span("iteration", index=recorder.iterations):
             stepped = []
             for good, conjunct in zip(good_conjuncts, current):
-                observed = tracer.enabled or metrics.enabled
-                handle = spans.open_span("back_image") \
-                    if spans.enabled else None
-                if observed:
-                    t0 = time.monotonic()
-                image = back_image(machine, conjunct,
-                                   options.back_image_mode,
-                                   options.cluster_limit)
-                if observed:
-                    seconds = time.monotonic() - t0
-                    if tracer.enabled:
-                        tracer.emit(BACK_IMAGE,
-                                    mode=options.back_image_mode,
-                                    input_size=conjunct.size(),
-                                    output_size=image.size(),
-                                    seconds=round(seconds, 6))
-                    if metrics.enabled:
-                        metrics.inc("back_image_calls")
-                        metrics.observe_time("back_image_seconds", seconds)
-                        metrics.observe_size("back_image_output_nodes",
-                                             image.size())
-                if handle is not None:
-                    spans.close_span(handle, output_size=image.size())
+                with probe.span("back_image",
+                                mode=options.back_image_mode,
+                                input=conjunct) as s:
+                    image = back_image(machine, conjunct,
+                                       options.back_image_mode,
+                                       options.cluster_limit)
+                    s.note(output=image)
                 stepped.append(good & image)
             stepped = _simplify_positional(manager, stepped, options,
                                            size_memo)
@@ -179,21 +156,11 @@ def _run(machine: Machine, good_conjuncts: List[Function],
                                     conjuncts=stepped)
             if size_memo is not None:
                 recorder.extra["size_memo_stats"] = size_memo.stats()
-            handle = spans.open_span("termination_test") \
-                if spans.enabled else None
-            tier = _fast_termination(stepped, current)
-            if handle is not None:
-                spans.close_span(handle, converged=tier is not None,
-                                 tier=tier)
-            if metrics.enabled:
-                metrics.inc("termination_tests")
-                if tier is not None:
-                    metrics.inc("termination_tier_" + tier)
-            if tracer.enabled:
-                tracer.emit(TERMINATION,
-                            converged=tier is not None,
-                            tiers={tier: 1} if tier is not None
-                            else {"positional": 0, "entailment": 0})
+            with probe.span("termination_test") as s:
+                tier = _fast_termination(stepped, current)
+                s.note(converged=tier is not None,
+                       tiers={tier: 1} if tier is not None
+                       else {"positional": 0, "entailment": 0})
             if tier is not None:
                 return recorder.finish(Outcome.VERIFIED, holds=True)
             if find_failing_conjunct(machine.init, stepped) is not None:

@@ -13,16 +13,12 @@ import dataclasses
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Callable, Dict, Iterable, List, Optional
 
 from ..bdd.manager import BDD, BudgetExceededError, Function
 from ..fsm.trace import Trace
-from ..obs.registry import NULL_REGISTRY
-from ..obs.sampler import ResourceSampler
-from ..obs.spans import NULL_SPANS
+from ..obs.probe import NULL_PROBE, Probe
 from ..obs.watchdog import Watchdog
-from ..trace import BUDGET_CHECK, GC, ITERATION, NULL_TRACER, REORDER, \
-    RUN_END, RUN_START
 from .options import Options
 
 __all__ = ["VerificationResult", "Outcome", "RunRecorder"]
@@ -182,9 +178,15 @@ class VerificationResult:
 class RunRecorder:
     """Shared engine bookkeeping: timing, budgets, iterate profiles.
 
-    Engines wrap their main loop in :meth:`budgeted`; a
+    Engines run their body through :meth:`run`: a
     :class:`BudgetExceededError` raised anywhere inside (including deep
-    in the BDD manager) is converted into a budget outcome.
+    in the BDD manager) becomes a budget outcome, and on every exit
+    path the manager gets its budgets back and loses the run's probe.
+
+    The recorder builds the run's :class:`~repro.obs.probe.Probe` from
+    ``Options.tracer``, ``Options.metrics``, ``Options.spans`` and the
+    heartbeat, installs it as ``manager.probe`` and exposes it as
+    :attr:`probe`; everything the run reports goes through it.
     """
 
     def __init__(self, method: str, model: str, manager: BDD,
@@ -194,12 +196,6 @@ class RunRecorder:
         self.model = model
         self.manager = manager
         self.options = options
-        self.tracer = options.tracer if options.tracer is not None \
-            else NULL_TRACER
-        self.metrics = options.metrics if options.metrics is not None \
-            else NULL_REGISTRY
-        self.spans = options.spans if options.spans is not None \
-            else NULL_SPANS
         self.iterations = 0
         self.iterate_profiles: List[str] = []
         self.max_iterate_nodes = 0
@@ -207,8 +203,10 @@ class RunRecorder:
         self.extra: Dict[str, Any] = {}
         self._start = time.monotonic()
         self._stats_before = manager.stats()
-        self._saved_budget = (manager.max_nodes, manager._deadline,
-                              manager.auto_gc_min_nodes)
+        self._reorder_before = _reorder_totals(manager)
+        self._saved: Optional[tuple] = (
+            manager.max_nodes, manager._deadline, manager.auto_gc_min_nodes,
+            manager.auto_sift_trigger, manager._auto_sift_baseline)
         if options.max_nodes is not None:
             manager.max_nodes = options.max_nodes
         if options.time_limit is not None:
@@ -216,92 +214,58 @@ class RunRecorder:
         manager.auto_gc_min_nodes = options.gc_min_nodes
         # Dynamic reordering: arm the growth trigger for "auto" (the
         # one-shot "sift" pass runs via initial_reorder(), *inside* the
-        # engine's budget handling) and observe every sift session —
-        # whatever triggered it — for per-run totals + trace events.
-        self._saved_reorder = (manager.auto_sift_trigger,
-                               manager._auto_sift_baseline,
-                               manager.reorder_observer)
+        # engine's budget handling).
         if options.reorder == "auto":
             manager.auto_sift_trigger = options.reorder_trigger
             manager._auto_sift_baseline = None
-        self.reorder_stats: Dict[str, Any] = {
-            "runs": 0, "swaps": 0, "vars_sifted": 0,
-            "nodes_saved": 0, "seconds": 0.0}
-
-        def _on_reorder(info: Dict[str, Any]) -> None:
-            totals = self.reorder_stats
-            totals["runs"] += 1
-            totals["swaps"] += info.get("swaps", 0)
-            totals["vars_sifted"] += info.get("vars_sifted", 0)
-            totals["nodes_saved"] += (info.get("nodes_before", 0)
-                                      - info.get("nodes_after", 0))
-            totals["seconds"] += info.get("seconds", 0.0)
-            if self.tracer.enabled:
-                self.tracer.emit(
-                    REORDER, reason=info.get("reason"),
-                    vars_sifted=info.get("vars_sifted"),
-                    swaps=info.get("swaps"),
-                    nodes_before=info.get("nodes_before"),
-                    nodes_after=info.get("nodes_after"),
-                    seconds=round(info.get("seconds", 0.0), 6),
-                    aborted=info.get("aborted"))
-
-        manager.reorder_observer = _on_reorder
-        self._gc_callback = None
-        if self.tracer.enabled:
-            tracer = self.tracer
-
-            def _on_gc(freed: int, live: int, epoch: int) -> None:
-                tracer.emit(GC, freed=freed, live=live, epoch=epoch)
-
-            manager.add_gc_observer(_on_gc)
-            self._gc_callback = _on_gc
-            self._last_iterate_stats = self._stats_before
-            tracer.emit(RUN_START, method=method, model=model,
-                        options=self._options_summary())
-        # Metrics: point the manager's op-level sink at this run's
-        # registry and install the resource sampler on the safe points.
-        # Both are restored/uninstalled in finish(); all of it is
-        # observational only.
-        self._saved_metrics = manager.metrics
-        self._sampler = None
-        if self.metrics.enabled:
-            manager.metrics = self.metrics
-            self.metrics.gauge("gc_min_nodes", options.gc_min_nodes or 0)
-            self._sampler = ResourceSampler(manager, self.metrics)
-            self._sampler.install()
-        # Spans: point the manager's leaf-operation sink at this run's
-        # profiler and open the root "run" span that everything else
-        # nests under.  Restored/closed in finish().
-        self._saved_spans = manager.spans
-        self._run_span = None
-        if self.spans.enabled:
-            self.spans.attach(manager)
-            manager.spans = self.spans
-            self._run_span = self.spans.open_span(
-                "run", method=method, model=model)
-        # Heartbeat: an opt-in daemon thread printing progress lines.
-        # The manager's safe points stamp liveness through the
-        # ``heartbeat`` slot; record_iterate() reports real progress.
-        self._saved_heartbeat = manager.heartbeat
-        self._watchdog = None
+        watchdog = None
         if options.heartbeat is not None:
-            self._watchdog = Watchdog(
+            watchdog = Watchdog(
                 interval=options.heartbeat,
                 stall_window=options.heartbeat_stall,
                 time_limit=options.time_limit,
                 label=f"{method}/{model}",
                 stream=options.heartbeat_stream)
-            manager.heartbeat = self._watchdog
-            self._watchdog.start()
+        self.probe = Probe.build(manager, options.tracer, options.metrics,
+                                 options.spans, watchdog)
+        manager.probe = self.probe
+        self.probe.start()
+        self.probe.event("run_start", method=method, model=model,
+                         options=options.summary())
+        # The root span everything else nests under; release() closes it.
+        self._run_span = self.probe.span("run", method=method,
+                                         model=model).open()
 
-    def _options_summary(self) -> Dict[str, Any]:
-        """The engine-relevant knobs, for the ``run_start`` event."""
-        return self.options.summary()
+    def run(self, body: Callable[..., VerificationResult],
+            *args: Any) -> VerificationResult:
+        """Run ``body(*args, self)``: the engine's whole run.
 
-    def span(self, name: str, **attrs: Any):
-        """Open a nested span (a no-op context manager when disabled)."""
-        return self.spans.span(name, **attrs)
+        A budget error becomes a budget outcome; any other exception
+        propagates.  Either way :meth:`release` runs.
+        """
+        try:
+            return body(*args, self)
+        except BudgetExceededError as error:
+            return self.finish_budget(error)
+        finally:
+            self.release()
+
+    def release(self) -> None:
+        """Close the run span, stop the probe, restore the manager.
+
+        The manager gets back its pre-run budgets and reorder trigger,
+        and :data:`~repro.obs.probe.NULL_PROBE`.  Idempotent.
+        """
+        if self._saved is None:
+            return
+        self._run_span.close()
+        self.probe.stop()
+        manager = self.manager
+        (manager.max_nodes, manager._deadline, manager.auto_gc_min_nodes,
+         manager.auto_sift_trigger,
+         manager._auto_sift_baseline) = self._saved
+        self._saved = None
+        manager.probe = NULL_PROBE
 
     def initial_reorder(self) -> None:
         """Run the one-shot pre-loop sift when ``reorder="sift"``.
@@ -325,51 +289,16 @@ class RunRecorder:
         caches can be reclaimed safely.
 
         ``conjuncts`` (the iterate's list, for implicit engines; a
-        singleton for monolithic ones) is only consulted when a tracer
-        or a metrics registry is active, to report per-conjunct sizes —
-        unobserved runs never walk the BDDs for it.
+        singleton for monolithic ones) is only measured when the probe
+        reports per-conjunct sizes — unobserved runs never walk the
+        BDDs for it.
         """
-        conjunct_list = None
-        if conjuncts is not None and (self.tracer.enabled
-                                      or self.metrics.enabled):
-            conjunct_list = list(conjuncts)
-        if self.tracer.enabled:
-            stats_now = self.manager.stats()
-            created = stats_now["nodes_created"] \
-                - self._last_iterate_stats["nodes_created"]
-            self._last_iterate_stats = stats_now
-            self.tracer.emit(
-                ITERATION,
-                index=len(self.iterate_profiles),
-                nodes=nodes,
-                profile=profile,
-                list_length=(len(conjunct_list)
-                             if conjunct_list is not None else None),
-                sizes=([fn.size() for fn in conjunct_list]
-                       if conjunct_list is not None else None),
-                nodes_created=created,
-                nodes_current=stats_now["nodes_current"])
-        if self.metrics.enabled:
-            metrics = self.metrics
-            metrics.inc("iterations")
-            metrics.observe_size("iterate_nodes", nodes)
-            conjunct_lengths = None
-            if conjunct_list is not None:
-                conjunct_lengths = [fn.size() for fn in conjunct_list]
-                metrics.observe_size("conjunct_list_length",
-                                     len(conjunct_list))
-                for size in conjunct_lengths:
-                    metrics.observe_size("conjunct_nodes", size)
-            if self._sampler is not None:
-                self._sampler.sample(reason="iterate",
-                                     conjunct_lengths=conjunct_lengths)
+        self.probe.event("iterate", index=len(self.iterate_profiles),
+                         nodes=nodes, profile=profile, conjuncts=conjuncts)
         self.iterate_profiles.append(profile)
         if nodes > self.max_iterate_nodes:
             self.max_iterate_nodes = nodes
             self.max_iterate_profile = profile
-        if self._watchdog is not None:
-            self._watchdog.beat(iteration=len(self.iterate_profiles),
-                                nodes=nodes, profile=profile)
         self.manager.auto_collect()
 
     def check_time(self) -> None:
@@ -377,10 +306,9 @@ class RunRecorder:
         if self.options.time_limit is None:
             return
         elapsed = time.monotonic() - self._start
-        if self.tracer.enabled:
-            self.tracer.emit(BUDGET_CHECK, kind="time",
-                             elapsed=round(elapsed, 6),
-                             limit=self.options.time_limit)
+        self.probe.event("budget_check", kind="time",
+                         elapsed=round(elapsed, 6),
+                         limit=self.options.time_limit)
         if elapsed > self.options.time_limit:
             raise BudgetExceededError("time", self.options.time_limit)
 
@@ -395,50 +323,19 @@ class RunRecorder:
 
     def finish(self, outcome: str, holds: Optional[bool],
                trace: Optional[Trace] = None) -> VerificationResult:
-        """Assemble the result and restore the manager's budgets."""
+        """Assemble the result and restore the manager."""
         # Close the root span (force-closing anything an exception left
         # open) *before* stamping elapsed, so the run's span self-times
         # are guaranteed to sum to no more than the reported wall time.
-        span_rollup = None
-        if self.spans.enabled:
-            self.spans.close_span(self._run_span, outcome=outcome)
-            span_rollup = self.spans.rollup()
-            self.manager.spans = self._saved_spans
-            self.spans.detach()
-        if self._watchdog is not None:
-            self._watchdog.stop()
-            self._watchdog = None
-        self.manager.heartbeat = self._saved_heartbeat
+        self._run_span.note(outcome=outcome)
+        self.release()
         elapsed = time.monotonic() - self._start
-        (self.manager.max_nodes, self.manager._deadline,
-         self.manager.auto_gc_min_nodes) = self._saved_budget
-        (self.manager.auto_sift_trigger,
-         self.manager._auto_sift_baseline,
-         self.manager.reorder_observer) = self._saved_reorder
-        if self._gc_callback is not None:
-            self.manager.remove_gc_observer(self._gc_callback)
-            self._gc_callback = None
-        metrics_snapshot = None
-        if self.metrics.enabled:
-            if self._sampler is not None:
-                self._sampler.uninstall()
-                self._sampler = None
-            metrics = self.metrics
-            metrics.inc("runs_completed")
-            metrics.gauge("run_seconds", round(elapsed, 6))
-            metrics.gauge("run_iterations", self.iterations)
-            metrics.gauge("run_peak_nodes", self.manager.peak_nodes)
-            metrics.gauge("run_max_iterate_nodes", self.max_iterate_nodes)
-            metrics_snapshot = metrics.snapshot()
-        self.manager.metrics = self._saved_metrics
-        trace_summary = None
-        if self.tracer.enabled:
-            self.tracer.emit(RUN_END, outcome=outcome, holds=holds,
-                             iterations=self.iterations,
-                             elapsed_seconds=round(elapsed, 6),
-                             peak_nodes=self.manager.peak_nodes,
-                             max_iterate_nodes=self.max_iterate_nodes)
-            trace_summary = self.tracer.summary()
+        self.probe.event("run_end", outcome=outcome, holds=holds,
+                         iterations=self.iterations,
+                         elapsed_seconds=round(elapsed, 6),
+                         peak_nodes=self.manager.peak_nodes,
+                         max_iterate_nodes=self.max_iterate_nodes)
+        reorder_after = _reorder_totals(self.manager)
         return VerificationResult(
             method=self.method,
             model=self.model,
@@ -455,8 +352,18 @@ class RunRecorder:
             extra=self.extra,
             bdd_stats=BDD.stats_delta(self._stats_before,
                                       self.manager.stats()),
-            trace_summary=trace_summary,
-            reorder_stats=dict(self.reorder_stats),
-            metrics=metrics_snapshot,
-            span_rollup=span_rollup,
+            reorder_stats={key: reorder_after[key] - before
+                           for key, before in self._reorder_before.items()},
+            **self.probe.summaries(),
         )
+
+
+def _reorder_totals(manager: BDD) -> Dict[str, Any]:
+    """The manager's cumulative sifting totals; a run reports their
+    growth as :attr:`VerificationResult.reorder_stats`."""
+    return {"runs": manager._reorder_runs,
+            "swaps": manager._reorder_swaps,
+            "vars_sifted": manager._reorder_vars_sifted,
+            "nodes_saved": (manager._reorder_nodes_before
+                            - manager._reorder_nodes_after),
+            "seconds": manager._reorder_seconds}

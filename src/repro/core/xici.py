@@ -21,13 +21,10 @@ the two DAC 1994 contributions wired in:
 
 from __future__ import annotations
 
-import time
 from typing import List, Optional, Sequence
 
-from ..bdd.manager import BudgetExceededError, Function
-from ..obs.registry import NULL_REGISTRY
-from ..obs.spans import NULL_SPANS
-from ..trace import BACK_IMAGE, NULL_TRACER, Tracer
+from ..bdd.manager import Function
+from ..obs.probe import Probe
 from ..fsm.machine import Machine
 from ..fsm.image import back_image
 from ..iclist.conjlist import ConjList
@@ -51,18 +48,12 @@ def verify_xici(machine: Machine, good_conjuncts: Sequence[Function],
     if options is None:
         options = Options()
     recorder = RunRecorder("XICI", machine.name, machine.manager, options)
-    try:
-        return _run(machine, list(good_conjuncts), options, recorder)
-    except BudgetExceededError as error:
-        return recorder.finish_budget(error)
+    return recorder.run(_run, machine, list(good_conjuncts), options)
 
 
 def _condition(conjlist: ConjList, options: Options,
                eval_stats: EvaluationStats,
-               cache: Optional[PairCache],
-               tracer: Tracer = NULL_TRACER,
-               metrics=NULL_REGISTRY,
-               spans=NULL_SPANS) -> None:
+               cache: Optional[PairCache], probe: Probe) -> None:
     """One simplify-and-evaluate pass (Section III.A).
 
     ``cache`` is the run-long pair-product cache: because it is keyed
@@ -70,13 +61,7 @@ def _condition(conjlist: ConjList, options: Options,
     iterates recur between calls, iteration N+1's evaluation reuses
     iteration N's products instead of rebuilding the full O(n^2) table.
     """
-    if metrics.enabled:
-        with metrics.phase("simplify"):
-            conjlist.simplify(
-                simplifier=options.simplifier,
-                only_by_smaller=options.simplify_only_by_smaller,
-                size_memo=cache.sizes if cache is not None else None)
-    else:
+    with probe.span("simplify"):
         conjlist.simplify(
             simplifier=options.simplifier,
             only_by_smaller=options.simplify_only_by_smaller,
@@ -89,9 +74,7 @@ def _condition(conjlist: ConjList, options: Options,
                         use_bounded=options.use_bounded_and,
                         stats=eval_stats,
                         cache=cache,
-                        tracer=tracer,
-                        metrics=metrics,
-                        spans=spans)
+                        probe=probe)
 
 
 def _run(machine: Machine, good_conjuncts: List[Function],
@@ -115,12 +98,10 @@ def _run(machine: Machine, good_conjuncts: List[Function],
         for conjunct in good_conjuncts:
             split.extend(decompose_conjunction(conjunct))
         good_conjuncts = split
-    tracer = recorder.tracer
-    metrics = recorder.metrics
-    spans = recorder.spans
+    probe = recorder.probe
     goal = ConjList(manager, good_conjuncts)
     current = goal.copy()
-    _condition(current, options, eval_stats, cache, tracer, metrics, spans)
+    _condition(current, options, eval_stats, cache, probe)
     history: List[List[Function]] = [list(goal.conjuncts)]
     recorder.record_iterate(current.shared_size(), current.profile(),
                             conjuncts=current.conjuncts)
@@ -134,36 +115,19 @@ def _run(machine: Machine, good_conjuncts: List[Function],
         recorder.iterations += 1
         # A return inside the span closes it through finish() (the root
         # close force-closes open children); the __exit__ then no-ops.
-        with recorder.span("iteration", index=recorder.iterations):
+        with probe.span("iteration", index=recorder.iterations):
             stepped = ConjList(manager, goal.conjuncts)
             for conjunct in current:
-                observed = tracer.enabled or metrics.enabled
-                handle = spans.open_span("back_image") \
-                    if spans.enabled else None
-                if observed:
-                    t0 = time.monotonic()
-                image = back_image(machine, conjunct,
-                                   options.back_image_mode,
-                                   options.cluster_limit)
-                if observed:
-                    seconds = time.monotonic() - t0
-                    if tracer.enabled:
-                        tracer.emit(BACK_IMAGE,
-                                    mode=options.back_image_mode,
-                                    input_size=conjunct.size(),
-                                    output_size=image.size(),
-                                    seconds=round(seconds, 6))
-                    if metrics.enabled:
-                        metrics.inc("back_image_calls")
-                        metrics.observe_time("back_image_seconds", seconds)
-                        metrics.observe_size("back_image_output_nodes",
-                                             image.size())
-                if handle is not None:
-                    spans.close_span(handle, output_size=image.size())
+                with probe.span("back_image",
+                                mode=options.back_image_mode,
+                                input=conjunct) as s:
+                    image = back_image(machine, conjunct,
+                                       options.back_image_mode,
+                                       options.cluster_limit)
+                    s.note(output=image)
                 stepped.append(image)
                 manager.auto_collect()
-            _condition(stepped, options, eval_stats, cache, tracer,
-                       metrics, spans)
+            _condition(stepped, options, eval_stats, cache, probe)
             history.append(list(stepped.conjuncts))
             recorder.record_iterate(stepped.shared_size(),
                                     stepped.profile(),
@@ -177,7 +141,7 @@ def _run(machine: Machine, good_conjuncts: List[Function],
                 return _violation(machine, history, options, recorder)
             if lists_equal(current, stepped, checker,
                            assume_right_subset=options.exploit_monotonicity,
-                           tracer=tracer, metrics=metrics, spans=spans):
+                           probe=probe):
                 return recorder.finish(Outcome.VERIFIED, holds=True)
             current = stepped
     return recorder.finish(Outcome.NO_CONVERGENCE, holds=None)

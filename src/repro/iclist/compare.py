@@ -11,12 +11,9 @@ Complement edges make building the ``not Xi`` disjuncts free.
 
 from __future__ import annotations
 
-import time
 from typing import Optional
 
-from ..obs.registry import NULL_REGISTRY
-from ..obs.spans import NULL_SPANS
-from ..trace import TERMINATION, Tracer
+from ..obs.probe import NULL_PROBE, Probe
 from .conjlist import ConjList
 from .tautology import TautologyChecker
 
@@ -40,9 +37,7 @@ def implies_list(antecedent: ConjList, consequent: ConjList,
 def lists_equal(left: ConjList, right: ConjList,
                 checker: Optional[TautologyChecker] = None,
                 assume_right_subset: bool = False,
-                tracer: Optional[Tracer] = None,
-                metrics=NULL_REGISTRY,
-                spans=NULL_SPANS) -> bool:
+                probe: Probe = NULL_PROBE) -> bool:
     """Exact test of ``left = right``.
 
     ``assume_right_subset=True`` skips the ``right => left`` direction.
@@ -52,49 +47,18 @@ def lists_equal(left: ConjList, right: ConjList,
     optimization.") — engines keep it off by default to match the paper
     and expose it as an option for the ablation bench.
 
-    When an enabled ``tracer`` is given, one ``termination_test`` event
-    is emitted per call, carrying the per-tier effort tally of the
-    whole equality check (constant / complement / Step 3 /
-    Shannon-with-depth — see
+    Each call is one ``termination_test`` span on ``probe``, noting the
+    per-tier effort tally of the whole equality check (constant /
+    complement / Step 3 / Shannon-with-depth — see
     :meth:`~repro.iclist.tautology.TautologyChecker.tier_tally`).
-
-    An enabled ``metrics`` registry receives the same per-call data as
-    histograms and per-tier counters; the default null registry skips
-    all of it.
     """
     if checker is None:
         checker = TautologyChecker(left.manager)
-    trace = tracer is not None and tracer.enabled
-    if metrics is None:
-        metrics = NULL_REGISTRY
-    if spans is None:
-        spans = NULL_SPANS
-    observed = trace or metrics.enabled or spans.enabled
-    handle = spans.open_span("termination_test") if spans.enabled else None
-    if observed:
+    with probe.span("termination_test") as span:
         before = checker.stats.snapshot()
-        t0 = time.monotonic()
-    converged = implies_list(left, right, checker)
-    if converged and not assume_right_subset:
-        converged = implies_list(right, left, checker)
-    if observed:
-        seconds = time.monotonic() - t0
-        tiers = checker.tier_tally(before)
-        if trace:
-            tracer.emit(TERMINATION,
-                        converged=converged,
-                        tiers=tiers,
-                        max_depth=checker.stats.max_depth,
-                        seconds=round(seconds, 6))
-        if metrics.enabled:
-            metrics.inc("termination_tests")
-            metrics.observe_time("termination_test_seconds", seconds)
-            for tier, count in tiers.items():
-                if count:
-                    metrics.inc("termination_tier_" + str(tier), count)
-        if handle is not None:
-            spans.close_span(
-                handle, converged=converged,
-                **{f"tier_{tier}": count for tier, count in tiers.items()
-                   if count})
+        converged = implies_list(left, right, checker)
+        if converged and not assume_right_subset:
+            converged = implies_list(right, left, checker)
+        span.note(converged=converged, tiers=checker.tier_tally(before),
+                  max_depth=checker.stats.max_depth)
     return converged

@@ -33,15 +33,12 @@ original table-based implementation).
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from ..bdd.manager import Function
 from ..bdd.bounded import bounded_and
-from ..obs.registry import NULL_REGISTRY
-from ..obs.spans import NULL_SPANS
-from ..trace import MERGE, Tracer
+from ..obs.probe import NULL_PROBE, Probe
 from .conjlist import ConjList
 from .paircache import PairCache
 
@@ -121,9 +118,7 @@ def greedy_evaluate(conjlist: ConjList,
                     bound_factor: float = 4.0,
                     stats: Optional[EvaluationStats] = None,
                     cache: Optional[PairCache] = None,
-                    tracer: Optional[Tracer] = None,
-                    metrics=NULL_REGISTRY,
-                    spans=NULL_SPANS) -> EvaluationStats:
+                    probe: Probe = NULL_PROBE) -> EvaluationStats:
     """Run Figure 1 in place on ``conjlist``; returns statistics.
 
     A smaller ``grow_threshold`` "holds BDD size down, but can get
@@ -135,15 +130,11 @@ def greedy_evaluate(conjlist: ConjList,
     edge-identical with and without one (canonicity guarantees a cached
     product equals a recomputed one), only the amount of work differs.
 
-    An enabled ``tracer`` receives one ``merge`` event per accepted
-    merge: the winning ratio, the pair's shared size, the product size,
-    whether the product came from the pair cache, and the list length
-    after the merge.  Tracing never changes which merges happen.
-
-    ``metrics`` (a :class:`~repro.obs.MetricsRegistry`) likewise only
-    observes: per merge-round timing, accepted merge ratios, and
-    product sizes, all skipped entirely through the default null
-    registry.
+    Each merge round is one ``merge_round`` span on ``probe``.  An
+    accepted merge notes the winning ratio, the pair's shared size, the
+    product size, whether the product came from the pair cache, and
+    the list length after the merge.  Observing never changes which
+    merges happen.
     """
     if stats is None:
         stats = EvaluationStats()
@@ -151,101 +142,72 @@ def greedy_evaluate(conjlist: ConjList,
         return stats
     if cache is None:
         cache = PairCache(conjlist.manager)
-    trace = tracer is not None and tracer.enabled
-    if metrics is None:
-        metrics = NULL_REGISTRY
-    if spans is None:
-        spans = NULL_SPANS
     conjuncts = conjlist.conjuncts
     while len(conjuncts) >= 2:
-        round_span = spans.open_span("merge_round") \
-            if spans.enabled else None
-        if metrics.enabled:
-            round_started = time.perf_counter()
-        # Safe point: all live BDDs are held as Functions here.  A
-        # collection renumbers edges, so the cache must resync before
-        # any lookup below.
-        conjlist.manager.auto_collect()
-        cache.note_epoch()
-        best_ratio = math.inf
-        best_pair = None
-        best_product: Optional[Function] = None
-        best_product_size = 0
-        best_pair_size = 0
-        best_cached = False
-        n = len(conjuncts)
-        for i in range(n):
-            xi = conjuncts[i]
-            for j in range(i + 1, n):
-                xj = conjuncts[j]
-                key = cache.pair_key(xi, xj)
-                pair_size = cache.shared_pair_size(xi, xj)
-                bound = max(16, int(bound_factor * grow_threshold
-                                    * pair_size))
-                if use_bounded:
-                    known_abort = cache.aborted_at(key)
-                    if known_abort is not None and known_abort >= bound:
-                        # Known useless at this bound: price at infinity
-                        # without re-running the recursion.
-                        cache.stats.abort_hits += 1
-                        continue
-                product = cache.cached_product(key)
-                was_cached = product is not None
-                if product is None:
-                    product = _pair_product(xi, xj, use_bounded, bound,
-                                            stats)
+        with probe.span("merge_round") as round_span:
+            # Safe point: all live BDDs are held as Functions here.  A
+            # collection renumbers edges, so the cache must resync before
+            # any lookup below.
+            conjlist.manager.auto_collect()
+            cache.note_epoch()
+            best_ratio = math.inf
+            best_pair = None
+            best_product: Optional[Function] = None
+            best_product_size = 0
+            best_pair_size = 0
+            best_cached = False
+            n = len(conjuncts)
+            for i in range(n):
+                xi = conjuncts[i]
+                for j in range(i + 1, n):
+                    xj = conjuncts[j]
+                    key = cache.pair_key(xi, xj)
+                    pair_size = cache.shared_pair_size(xi, xj)
+                    bound = max(16, int(bound_factor * grow_threshold
+                                        * pair_size))
+                    if use_bounded:
+                        known_abort = cache.aborted_at(key)
+                        if known_abort is not None and known_abort >= bound:
+                            # Known useless at this bound: price at infinity
+                            # without re-running the recursion.
+                            cache.stats.abort_hits += 1
+                            continue
+                    product = cache.cached_product(key)
+                    was_cached = product is not None
                     if product is None:
-                        cache.record_abort(key, bound)
-                        continue
-                    cache.store_product(key, product)
-                product_size = cache.sizes.size(product)
-                ratio = product_size / pair_size
-                if ratio < best_ratio:
-                    best_ratio = ratio
-                    best_pair = (i, j)
-                    best_product = product
-                    best_product_size = product_size
-                    best_pair_size = pair_size
-                    best_cached = was_cached
-        if best_pair is None or best_ratio > grow_threshold:
-            if metrics.enabled:
-                metrics.inc("evaluate_rounds")
-                metrics.observe_time("evaluate_round_seconds",
-                                     time.perf_counter() - round_started)
-            if round_span is not None:
-                spans.close_span(round_span, merged=False,
-                                 list_length=len(conjuncts))
-            break
-        stats.merges += 1
-        stats.record_ratio(best_ratio)
-        if metrics.enabled:
-            metrics.inc("evaluate_rounds")
-            metrics.inc("evaluate_merges")
-            metrics.observe_time("evaluate_round_seconds",
-                                 time.perf_counter() - round_started)
-            metrics.observe_ratio("merge_ratio", best_ratio)
-            # The size was already priced during pair selection; reusing
-            # it keeps the metered run's cache counters identical to a
-            # bare run's (observational-only, down to the stats).
-            metrics.observe_size("merge_product_nodes",
-                                 best_product_size)
-        i, j = best_pair
-        if trace:
-            tracer.emit(MERGE,
-                        ratio=round(best_ratio, 4),
-                        pair_size=best_pair_size,
-                        product_size=best_product_size,
-                        cached=best_cached,
-                        list_length=len(conjuncts) - 1)
-        # Replace Xi and Xj with Pij.  Pairs among the survivors stay
-        # valid in the cache; only the new product's pairs are misses
-        # on the next round.
-        conjuncts[i] = best_product
-        del conjuncts[j]
-        if round_span is not None:
-            spans.close_span(round_span, merged=True,
-                             ratio=round(best_ratio, 4),
-                             list_length=len(conjuncts))
+                        product = _pair_product(xi, xj, use_bounded, bound,
+                                                stats)
+                        if product is None:
+                            cache.record_abort(key, bound)
+                            continue
+                        cache.store_product(key, product)
+                    product_size = cache.sizes.size(product)
+                    ratio = product_size / pair_size
+                    if ratio < best_ratio:
+                        best_ratio = ratio
+                        best_pair = (i, j)
+                        best_product = product
+                        best_product_size = product_size
+                        best_pair_size = pair_size
+                        best_cached = was_cached
+            if best_pair is None or best_ratio > grow_threshold:
+                round_span.note(merged=False, list_length=len(conjuncts))
+                break
+            stats.merges += 1
+            stats.record_ratio(best_ratio)
+            # Replace Xi and Xj with Pij.  Pairs among the survivors stay
+            # valid in the cache; only the new product's pairs are misses
+            # on the next round.
+            i, j = best_pair
+            conjuncts[i] = best_product
+            del conjuncts[j]
+            # The product was already priced during pair selection;
+            # noting that size keeps an observed run's cache counters
+            # identical to a bare run's.
+            round_span.note(merged=True, ratio=best_ratio,
+                            pair_size=best_pair_size,
+                            product_size=best_product_size,
+                            cached=best_cached, list_length=len(conjuncts))
     # Re-normalize (the product might have produced constants/duplicates).
     rebuilt = ConjList(conjlist.manager, conjuncts)
     conjlist.conjuncts = rebuilt.conjuncts

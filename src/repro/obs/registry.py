@@ -3,7 +3,8 @@
 The DAC 1994 technique lives or dies by *sizes over time* — conjunct
 node counts, Restrict/AND work, tautology-tier hits, sift savings.
 This module is the single sink those numbers flow into: engines and the
-BDD manager emit into a :class:`MetricsRegistry`, exporters
+BDD manager report through the run's :class:`~repro.obs.probe.Probe`,
+which records into a :class:`MetricsRegistry`; exporters
 (:mod:`repro.obs.exporters`) turn one registry into a JSONL timeline, a
 Prometheus textfile, or a terminal report.
 
@@ -12,10 +13,9 @@ The hot-path contract mirrors :mod:`repro.trace`:
 * Metrics are **observational only** — an instrumented run and a bare
   run produce edge-identical verification results; nothing here may
   touch BDDs or influence control flow.
-* The default :class:`NullRegistry` costs ~nothing: every emit site is
-  guarded by one attribute check (``if metrics.enabled:``), so the
-  uninstrumented hot paths never compute a value (a size walk, a
-  ``time.perf_counter()`` pair) only to throw it away.
+* The default :class:`NullRegistry` costs ~nothing: a run without a
+  registry reports to a probe that never computes a value (a size
+  walk, a ``time.perf_counter()`` pair) only to throw it away.
 
 Histograms use **fixed bucket edges** (:data:`TIME_BUCKETS_S`,
 :data:`SIZE_BUCKETS`, :data:`RATIO_BUCKETS`) so that two runs — or two
@@ -166,9 +166,7 @@ class NullRegistry:
     """The do-nothing registry (the default everywhere).
 
     Mirrors the null tracer's contract: :attr:`enabled` is False and
-    every method is an empty no-op, so the only cost an instrumented
-    hot path pays without metrics is the one ``metrics.enabled``
-    attribute check guarding the emit.
+    every method is an empty no-op.
     """
 
     enabled: bool = False

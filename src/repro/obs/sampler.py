@@ -3,13 +3,12 @@
 External-memory BDD engines (Adiar) and IC3 convergence studies both
 show that per-operation instrumentation plus *tracked iterate metrics*
 are what make such engines tunable; the :class:`ResourceSampler` is the
-tracked-metrics half.  It rides the same safe points as
-:meth:`repro.bdd.BDD.auto_collect` — every call site there already
-guarantees that no raw integer edges are held across the call, so a
-sampler walking the live structure can never observe a half-built
-state — and additionally snapshots after every garbage collection (via
-the manager's observer fan-out) and at every iterate boundary (the
-:class:`~repro.core.result.RunRecorder` forces a sample there).
+tracked-metrics half.  The run's :class:`~repro.obs.probe.Probe`
+drives it: at the safe points of :meth:`repro.bdd.BDD.auto_collect` —
+every call site there already guarantees that no raw integer edges are
+held across the call, so a sampler walking the live structure can never
+observe a half-built state — after every garbage collection, and (a
+forced sample) at every iterate boundary.
 
 Each sample is one flat JSON-safe dict (see :data:`SAMPLE_FIELDS`)
 appended to the owning registry's timeline; the JSONL exporter streams
@@ -82,10 +81,10 @@ def read_rss_kb() -> Optional[int]:
 class ResourceSampler:
     """Snapshots wall/CPU time, RSS, and manager state into a registry.
 
-    Install with :meth:`install` (sets ``manager.resource_sampler`` so
-    :meth:`BDD.auto_collect` calls :meth:`maybe_sample`, and registers
-    a GC observer on the fan-out list); always :meth:`uninstall` when
-    the observed region ends — the :class:`RunRecorder` does both.
+    :meth:`install` and :meth:`uninstall` bracket the observed region
+    with its first and last sample; in between, whoever owns the
+    sampler (the run's probe) calls :meth:`maybe_sample` and
+    :meth:`sample`.  The sampler never attaches itself to the manager.
     """
 
     def __init__(self, manager: "Any", registry: MetricsRegistry,
@@ -107,27 +106,19 @@ class ResourceSampler:
     # -- lifecycle ------------------------------------------------------
 
     def install(self) -> None:
-        """Attach to the manager's safe points and GC fan-out."""
+        """Open the timeline with its first sample."""
         if self._installed:
             return
-        self.manager.resource_sampler = self
-        self.manager.add_gc_observer(self._on_gc)
         self._installed = True
         self.sample(reason="install")
 
     def uninstall(self) -> None:
-        """Detach; takes one final sample first."""
+        """Close the timeline with a final sample."""
         if not self._installed:
             return
         self.sample(reason="uninstall")
-        if self.manager.resource_sampler is self:
-            self.manager.resource_sampler = None
-        self.manager.remove_gc_observer(self._on_gc)
         self._installed = False
         self.registry.gauge("sampler_dropped", self.dropped)
-
-    def _on_gc(self, freed: int, live: int, epoch: int) -> None:
-        self.maybe_sample(reason="gc")
 
     # -- sampling -------------------------------------------------------
 

@@ -19,11 +19,12 @@ matter when it wakes.
 Wiring (all opt-in, via ``Options(heartbeat=SECS)`` / CLI
 ``--heartbeat SECS``):
 
-* :class:`~repro.core.result.RunRecorder` creates, starts and stops
-  the watchdog and calls :meth:`beat` at every iterate boundary;
+* :class:`~repro.core.result.RunRecorder` creates the watchdog and
+  hands it to the run's :class:`~repro.obs.probe.Probe`, which starts
+  and stops it and calls :meth:`beat` at every iterate boundary;
 * :meth:`repro.bdd.BDD.auto_collect` — the library safe points —
-  calls :meth:`touch` through the manager's ``heartbeat`` slot, so
-  progress is visible even mid-iteration.
+  calls :meth:`touch` through the probe, so progress is visible even
+  mid-iteration.
 """
 
 from __future__ import annotations

@@ -6,8 +6,9 @@ The contract with the engines:
   produce edge-identical verification results; a tracer must never
   touch BDDs or influence control flow.
 * The null tracer costs ~nothing: its :meth:`Tracer.emit` is an empty
-  method, and engines additionally guard any *event-data preparation*
-  (node counts, stats snapshots) behind :attr:`Tracer.enabled` so the
+  method, and engines never call it directly — they report through
+  the run's :class:`~repro.obs.probe.Probe`, which prepares event data
+  (node counts, stats snapshots) only for an enabled sink, so the
   untraced hot paths never pay for data they would throw away.
 """
 
@@ -31,9 +32,9 @@ class Tracer:
     everything; subclasses record or stream.
     """
 
-    #: Whether this tracer consumes events.  Engines check this before
-    #: computing anything (sizes, stats deltas) that only exists to be
-    #: traced.
+    #: Whether this tracer consumes events.  The probe checks this
+    #: before computing anything (sizes, stats deltas) that only exists
+    #: to be traced.
     enabled: bool = False
 
     def emit(self, event: str, **fields: Any) -> None:

@@ -16,6 +16,7 @@ from repro.bdd import BDD, BudgetExceededError, order_cost, sift
 from repro.bdd.sizing import SizeMemo
 from repro.core import Options, verify
 from repro.models import typed_fifo
+from repro.obs.probe import NULL_PROBE, Probe
 from repro.trace import REORDER, RecordingTracer
 
 from conftest import all_assignments, ast_strategy, build_ast, eval_ast, \
@@ -193,14 +194,15 @@ class TestSift:
     def test_stats_and_observer(self):
         mgr = fresh_manager()
         _ = mgr.var("a") & mgr.var("b") | mgr.var("c")
-        seen = []
-        mgr.reorder_observer = seen.append
+        tracer = RecordingTracer()
+        mgr.probe = Probe(mgr, tracer=tracer)
         result = mgr.sift(reason="manual")
         stats = mgr.stats()
         assert stats["reorder_runs"] == 1
         assert stats["reorder_swaps"] == result.swaps
         assert stats["reorder_nodes_before"] == result.nodes_before
         assert stats["reorder_nodes_after"] == result.nodes_after
+        seen = tracer.events_of(REORDER)
         assert len(seen) == 1
         assert seen[0]["reason"] == "manual"
         assert seen[0]["swaps"] == result.swaps
@@ -316,7 +318,7 @@ class TestEngineReorder:
         manager = problem.machine.manager
         verify(problem, "fwd", Options(reorder="auto"))
         assert manager.auto_sift_trigger is None
-        assert manager.reorder_observer is None
+        assert manager.probe is NULL_PROBE
 
     def test_all_methods_accept_sift(self):
         for method in ("fwd", "bkwd", "ici", "xici"):

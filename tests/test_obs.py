@@ -20,6 +20,7 @@ from repro.obs import (Histogram, MetricsRegistry, NullRegistry,
 from repro.obs.exporters import (METRICS_SCHEMA_VERSION, read_jsonl,
                                  render_report, to_prometheus,
                                  write_jsonl)
+from repro.obs.probe import NULL_PROBE
 from repro.obs.registry import (NULL_REGISTRY, RATIO_BUCKETS,
                                 SIZE_BUCKETS, TIME_BUCKETS_S)
 from repro.obs.sampler import SAMPLE_FIELDS, read_rss_kb
@@ -267,33 +268,11 @@ class TestGcObserverFanOut:
         del fn
         return manager
 
-    def test_multiple_observers_all_fire(self):
-        manager = self._manager_with_garbage()
-        calls = []
-        manager.add_gc_observer(lambda f, l, e: calls.append(("one", e)))
-        manager.add_gc_observer(lambda f, l, e: calls.append(("two", e)))
-        manager.garbage_collect()
-        assert [name for name, _ in calls] == ["one", "two"]
-        epochs = {epoch for _, epoch in calls}
-        assert epochs == {manager.gc_epoch}
-
-    def test_remove_observer(self):
-        manager = self._manager_with_garbage()
-        calls = []
-
-        def observer(freed, live, epoch):
-            calls.append(epoch)
-
-        manager.add_gc_observer(observer)
-        manager.garbage_collect()
-        manager.remove_gc_observer(observer)
-        manager.garbage_collect()
-        assert len(calls) == 1
-
     def test_legacy_single_slot_attribute_is_gone(self):
         # The gc_observer deprecation shim completed its cycle: the
         # attribute no longer exists as an API (assignment would just
-        # create a dead instance attribute the fan-out ignores).
+        # create a dead instance attribute nothing reads).  Collections
+        # report through the manager's probe (tests/test_probe.py).
         manager = self._manager_with_garbage()
         assert not hasattr(type(manager), "gc_observer")
 
@@ -319,13 +298,14 @@ class TestResourceSampler:
         registry = MetricsRegistry()
         sampler = ResourceSampler(manager, registry)
         sampler.install()
-        assert manager.resource_sampler is sampler
+        # The sampler never attaches itself; the run's probe drives it.
+        assert manager.probe is NULL_PROBE
         sampler.uninstall()
-        assert manager.resource_sampler is None
+        assert manager.probe is NULL_PROBE
         reasons = [s["reason"] for s in registry.samples]
         assert reasons[0] == "install"
         assert reasons[-1] == "uninstall"
-        # GC observer detached too: collecting fires no further sample.
+        # Nothing samples on the manager's behalf: collecting adds none.
         count = len(registry.samples)
         manager.garbage_collect()
         assert len(registry.samples) == count
@@ -439,8 +419,7 @@ class TestObservationalContract:
     def test_manager_registry_restored_after_run(self):
         problem = _problem("xici")
         verify(problem, "xici", Options(metrics=MetricsRegistry()))
-        assert problem.machine.manager.metrics is NULL_REGISTRY
-        assert problem.machine.manager.resource_sampler is None
+        assert problem.machine.manager.probe is NULL_PROBE
 
     def test_registry_spans_runs_when_reused(self):
         registry = MetricsRegistry()

@@ -15,6 +15,7 @@ import pytest
 import repro.obs.spans as spans_mod
 from repro.core import Options, verify
 from repro.models import build_model
+from repro.obs.probe import NULL_PROBE
 from repro.obs import NULL_SPANS, NullSpanSink, SpanProfiler, \
     render_rollup
 
@@ -235,7 +236,7 @@ class TestVerifyIntegration:
         problem = _problem()
         verify(problem, "xici", Options(spans=profiler))
         assert profiler.open_depth == 0
-        assert problem.machine.manager.spans is NULL_SPANS
+        assert problem.machine.manager.probe is NULL_PROBE
 
     def test_unprofiled_result_has_no_rollup(self):
         result = verify(_problem(), "xici", Options())

@@ -14,6 +14,7 @@ import pytest
 from repro.core import Options, verify
 from repro.models import build_model
 from repro.obs import Watchdog
+from repro.obs.probe import NULL_PROBE
 
 
 class _Clock:
@@ -146,7 +147,7 @@ class TestVerifyIntegration:
     def test_manager_heartbeat_slot_restored(self):
         problem = self._problem()
         verify(problem, "xici", Options(heartbeat=3600.0))
-        assert problem.machine.manager.heartbeat is None
+        assert problem.machine.manager.probe is NULL_PROBE
 
     def test_watchdog_sees_beats_and_safe_points(self):
         problem = self._problem()
