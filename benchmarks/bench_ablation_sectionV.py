@@ -96,6 +96,7 @@ def bench_relational_backimage_cuts_peak(benchmark):
         compose = run_case(
             pipelined_processor(num_regs=2, datapath=2), "xici", "-",
             "compose", options=Options(grow_threshold=1.0,
+                                       back_image_mode="compose",
                                        max_nodes=6_000_000,
                                        time_limit=300.0))
         relational = run_case(

@@ -64,6 +64,7 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional
 
 from .core import METHODS, Options, Problem, verify
+from .fsm.image import BACK_IMAGE_MODES
 from .iclist.evaluate import GROW_THRESHOLD
 from .models import MODELS
 from .obs import MetricsRegistry, SpanProfiler, ledger, render_report, \
@@ -555,8 +556,11 @@ def _add_verify_parser(subparsers) -> None:
     parser.add_argument("--stats", action="store_true",
                         help="print BDD.stats() and cache counters "
                              "after the run")
-    parser.add_argument("--back-image", default="compose",
-                        choices=["compose", "relational"])
+    parser.add_argument("--back-image", default="auto",
+                        choices=BACK_IMAGE_MODES,
+                        help="BackImage algorithm: per conjunct (auto, "
+                             "the default), vector compose, or the "
+                             "clustered relational product")
     parser.add_argument("--monotone", action="store_true",
                         help="one-directional termination test")
     parser.add_argument("--auto-decompose", action="store_true",

@@ -48,12 +48,8 @@ def _run(machine: Machine, good_conjuncts: Sequence[Function],
         recorder.check_time()
         recorder.iterations += 1
         with probe.span("iteration", index=recorder.iterations):
-            with probe.span("back_image", mode=options.back_image_mode,
-                            input=current) as s:
-                image = back_image(machine, current,
-                                   options.back_image_mode,
-                                   options.cluster_limit)
-                s.note(output=image)
+            image = back_image(machine, current, options.back_image_mode,
+                               options.cluster_limit)
             successor = good & image
             not_rings.append(~successor)
             recorder.record_iterate(successor.size(), str(successor.size()),

@@ -140,13 +140,9 @@ def _run(machine: Machine, good_conjuncts: List[Function],
         with probe.span("iteration", index=recorder.iterations):
             stepped = []
             for good, conjunct in zip(good_conjuncts, current):
-                with probe.span("back_image",
-                                mode=options.back_image_mode,
-                                input=conjunct) as s:
-                    image = back_image(machine, conjunct,
-                                       options.back_image_mode,
-                                       options.cluster_limit)
-                    s.note(output=image)
+                image = back_image(machine, conjunct,
+                                   options.back_image_mode,
+                                   options.cluster_limit)
                 stepped.append(good & image)
             stepped = _simplify_positional(manager, stepped, options,
                                            size_memo)

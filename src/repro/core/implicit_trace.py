@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence
 from ..bdd.manager import Function
 from ..bdd.satisfy import pick_one
 from ..fsm.machine import Machine
-from ..fsm.trace import Step, Trace
+from ..fsm.trace import Step, Trace, pick_inputs
 
 __all__ = ["implicit_backward_counterexample", "find_failing_conjunct"]
 
@@ -49,7 +49,6 @@ def implicit_backward_counterexample(
     the good set itself.  The machine's start states must intersect
     ``not G_i``.
     """
-    manager = machine.manager
     depth = len(history) - 1
     failing = find_failing_conjunct(machine.init, history[depth])
     if failing is None:
@@ -62,22 +61,12 @@ def implicit_backward_counterexample(
     for j in range(depth, 0, -1):
         if _is_bad(machine, state, history[0]):
             break
-        state_cube = manager.cube(state)
-        # Partially evaluate the transition at the concrete state.
-        partial_delta = {name: fn.constrain(state_cube)
-                         for name, fn in machine.delta.items()}
-        partial_assume = machine.assumption.constrain(state_cube)
         # not G_{j-1} at the successor, as a disjunction over inputs.
-        bad_next = manager.disj(
-            (~conjunct).compose(partial_delta)
-            for conjunct in history[j - 1])
-        choice = partial_assume & bad_next
-        inputs_assignment = pick_one(choice, care_names=machine.input_names)
-        if inputs_assignment is None:
+        inputs = pick_inputs(machine, state,
+                             (~conjunct for conjunct in history[j - 1]))
+        if inputs is None:
             raise RuntimeError(
                 "trace extraction failed: iterate history inconsistent")
-        inputs = {name: inputs_assignment[name]
-                  for name in machine.input_names}
         steps.append(Step(state=state, inputs=inputs))
         state = machine.step(state, inputs)
     if not _is_bad(machine, state, history[0]):

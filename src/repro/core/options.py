@@ -14,6 +14,7 @@ import json
 from dataclasses import dataclass, fields
 from typing import Any, Dict, Mapping, Optional, Union
 
+from ..fsm.image import BACK_IMAGE_MODES
 from ..iclist.evaluate import GROW_THRESHOLD
 from ..iclist.tautology import VAR_CHOICES
 from ..obs.registry import MetricsRegistry
@@ -63,10 +64,12 @@ class Options:
     # -- image computation ---------------------------------------------------
     #: Node limit when clustering the partitioned transition relation.
     cluster_limit: int = 2500
-    #: BackImage strategy: "compose" (vector compose + forall, the
-    #: default) or "relational" (dual of PreImage over the partitioned
-    #: relation; smaller intermediates for very large iterates).
-    back_image_mode: str = "compose"
+    #: BackImage strategy: "auto" (the default: per conjunct, the
+    #: relational product over the conjunct's cone when compose would
+    #: be costly, else vector compose), "compose" (vector compose +
+    #: forall) or "relational" (dual of PreImage over the clustered
+    #: partitioned relation).  All three give the same iterates.
+    back_image_mode: str = "auto"
     #: Forward traversal: compute the image of the new frontier only
     #: (``R_{i+1} = R_i or Image(R_i - R_{i-1})``) instead of the whole
     #: reached set — same fixpoint, often cheaper steps.
@@ -330,7 +333,7 @@ class Options:
             raise ValueError("grow_threshold must be positive")
         if self.max_iterations <= 0:
             raise ValueError("max_iterations must be positive")
-        if self.back_image_mode not in ("compose", "relational"):
+        if self.back_image_mode not in BACK_IMAGE_MODES:
             raise ValueError(
                 f"unknown back_image_mode {self.back_image_mode!r}")
         if self.simplifier not in ("restrict", "constrain", "multiway"):

@@ -118,14 +118,9 @@ def _run(machine: Machine, good_conjuncts: List[Function],
         with probe.span("iteration", index=recorder.iterations):
             stepped = ConjList(manager, goal.conjuncts)
             for conjunct in current:
-                with probe.span("back_image",
-                                mode=options.back_image_mode,
-                                input=conjunct) as s:
-                    image = back_image(machine, conjunct,
-                                       options.back_image_mode,
-                                       options.cluster_limit)
-                    s.note(output=image)
-                stepped.append(image)
+                stepped.append(back_image(machine, conjunct,
+                                          options.back_image_mode,
+                                          options.cluster_limit))
                 manager.auto_collect()
             _condition(stepped, options, eval_stats, cache, probe)
             history.append(list(stepped.conjuncts))

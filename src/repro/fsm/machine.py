@@ -57,6 +57,11 @@ class Machine:
         self.delta: Dict[str, Function] = {
             b.name: b.next_fn for b in self.state_bits}
         self._transition_partition: Optional[List[Function]] = None
+        self._part_supports: Optional[List[frozenset]] = None
+        self._delta_sizes: Optional[List[int]] = None
+        #: Clustered image schedules, filled by :mod:`repro.fsm.image`
+        #: on first use and keyed by (cluster limit, quantified names).
+        self.schedules: Dict[tuple, list] = {}
 
     # -- structure ---------------------------------------------------------
 
@@ -87,6 +92,26 @@ class Machine:
                 parts.append(primed.iff(bit.next_fn))
             self._transition_partition = parts
         return self._transition_partition
+
+    def part_supports(self) -> List[frozenset]:
+        """Support of each transition conjunct, in state-bit order
+        (cached)."""
+        if self._part_supports is None:
+            self._part_supports = [
+                part.support() for part in self.transition_partition()]
+        return self._part_supports
+
+    def delta_sizes(self) -> List[int]:
+        """Node count of each next-state function, in state-bit order.
+
+        Measured once, at first use, and kept across reorderings: the
+        counts only steer :func:`repro.fsm.image.back_image`'s choice
+        of algorithm, never its result.
+        """
+        if self._delta_sizes is None:
+            self._delta_sizes = [bit.next_fn.size()
+                                 for bit in self.state_bits]
+        return self._delta_sizes
 
     # -- well-formedness -----------------------------------------------------
 

@@ -16,14 +16,14 @@ verification attempt fails".  Both traversal directions provide them:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from ..bdd.manager import Function
 from ..bdd.satisfy import pick_one
 from .machine import Machine
 
 __all__ = ["Step", "Trace", "forward_counterexample",
-           "backward_counterexample"]
+           "backward_counterexample", "pick_inputs"]
 
 
 @dataclass(frozen=True)
@@ -141,6 +141,27 @@ def _pick_state(machine: Machine,
     return {name: assignment[name] for name in machine.current_names}
 
 
+def pick_inputs(machine: Machine, state: Dict[str, bool],
+                targets: Iterable[Function]) -> Optional[Dict[str, bool]]:
+    """Allowed inputs that take the concrete ``state`` into the union
+    of ``targets`` (None if there are none).
+
+    The next-state functions and the assumption are first constrained
+    to ``state``, leaving functions of the inputs alone, so each target
+    is composed with those small functions instead of with ``delta``.
+    """
+    cube = _state_cube(machine, state)
+    partial_delta = {name: fn.constrain(cube)
+                     for name, fn in machine.delta.items()}
+    allowed = machine.assumption.constrain(cube)
+    reach = machine.manager.disj(target.compose(partial_delta)
+                                 for target in targets)
+    assignment = pick_one(allowed & reach, care_names=machine.input_names)
+    if assignment is None:
+        return None
+    return {name: assignment[name] for name in machine.input_names}
+
+
 def _pick_transition(machine: Machine, source_region: Function,
                      target: Function) -> Optional[Step]:
     """Pick a concrete (state, input) in ``source_region`` whose
@@ -198,14 +219,13 @@ def backward_counterexample(machine: Machine,
     assert state is not None
     steps: List[Step] = []
     for j in range(depth, 0, -1):
-        cube = _state_cube(machine, state)
-        if (cube & not_good_rings[0]).equiv(cube):
+        if not_good_rings[0].evaluate(state):
             break  # already outside G itself
-        step = _pick_transition(machine, cube, not_good_rings[j - 1])
-        if step is None:
+        inputs = pick_inputs(machine, state, [not_good_rings[j - 1]])
+        if inputs is None:
             raise RuntimeError(
                 "trace extraction failed: backward rings inconsistent")
-        steps.append(step)
-        state = machine.step(step.state, step.inputs)
+        steps.append(Step(state=state, inputs=inputs))
+        state = machine.step(state, inputs)
     steps.append(Step(state=state, inputs=None))
     return Trace(steps=steps)

@@ -119,8 +119,13 @@ def random_function(manager: BDD, names: Sequence[str],
 # ---------------------------------------------------------------------------
 
 def random_machine(seed: int, num_state_bits: int = 4,
-                   num_input_bits: int = 2) -> Machine:
-    """A small random deterministic machine with free inputs."""
+                   num_input_bits: int = 2, assume: bool = False) -> Machine:
+    """A small random deterministic machine with free inputs.
+
+    With ``assume``, the inputs are constrained by a random assumption
+    over inputs and state that still leaves every state an allowed
+    input (the machine for a seed is otherwise unchanged).
+    """
     rng = random.Random(seed)
     builder = Builder(f"random-{seed}")
     inputs = [builder.input_bit(f"i{k}") for k in range(num_input_bits)]
@@ -132,6 +137,10 @@ def random_machine(seed: int, num_state_bits: int = 4,
                              num_cubes=rng.randint(1, 3),
                              cube_len=rng.randint(1, 3))
         builder.next(reg, fn)
+    if assume:
+        literal = inputs[0] if rng.random() < 0.5 else ~inputs[0]
+        builder.assume(literal | random_function(
+            builder.manager, names, rng, num_cubes=2, cube_len=2))
     return builder.build()
 
 

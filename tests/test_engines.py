@@ -4,6 +4,8 @@ import random
 
 import pytest
 
+import repro
+from repro import RecordingTracer
 from repro.bdd import BDD
 from repro.expr import BitVec
 from repro.fsm import Builder
@@ -156,6 +158,43 @@ class TestXiciVariants:
         result = verify(problem, "xici", Options(**kwargs))
         assert result.violated
         assert result.trace.replay_check(problem.machine)
+
+
+class TestAutoBackImage:
+    """``back_image_mode="auto"`` picks an algorithm per conjunct and
+    must reproduce the compose run exactly."""
+
+    def _run(self, mode, model, method, **params):
+        tracer = RecordingTracer()
+        problem = repro.build_model(model, **params)
+        result = verify(problem, method,
+                        Options(back_image_mode=mode, tracer=tracer))
+        modes = {event["mode"] for event in tracer.events
+                 if event["event"] == "back_image"}
+        return problem, result, modes
+
+    def test_pipeline_xici_runs_both_algorithms_with_compose_iterates(self):
+        # Conjuncts of 6, 83 and 2,691 nodes: compose takes the small
+        # ones, the cone product the large one.
+        _, auto, modes = self._run("auto", "pipeline", "xici",
+                                   regs=2, bits=1)
+        _, compose, _ = self._run("compose", "pipeline", "xici",
+                                  regs=2, bits=1)
+        assert modes == {"compose", "relational"}
+        assert auto.outcome == compose.outcome == Outcome.VERIFIED
+        assert auto.iterations == compose.iterations
+        assert auto.iterate_profiles == compose.iterate_profiles
+
+    def test_violated_bkwd_trace_replays(self):
+        problem, auto, modes = self._run("auto", "movavg", "bkwd",
+                                         depth=8, width=4, bug="1")
+        _, compose, _ = self._run("compose", "movavg", "bkwd",
+                                  depth=8, width=4, bug="1")
+        assert "relational" in modes and "auto" not in modes
+        assert auto.violated and compose.violated
+        assert auto.iterations == compose.iterations
+        assert auto.iterate_profiles == compose.iterate_profiles
+        assert auto.trace.replay_check(problem.machine)
 
 
 @pytest.mark.parametrize("seed", range(12))

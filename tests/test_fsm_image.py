@@ -1,6 +1,10 @@
 """Image operators vs explicit enumeration, and Theorem 1."""
 
+import importlib
+from unittest import mock
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.bdd import BDD, iter_assignments
 from repro.expr import BitVec
@@ -8,8 +12,12 @@ from repro.fsm import Builder, ImageComputer, back_image, image, pre_image
 from repro.fsm.image import clustered_image
 from repro.explicit import explicit_reachable
 
-from conftest import random_function, random_machine, random_property
+from conftest import ast_strategy, build_ast, random_function, \
+    random_machine, random_property
 import random
+
+# The module, not the ``image`` function ``repro.fsm`` exports.
+image_module = importlib.import_module("repro.fsm.image")
 
 
 def explicit_images(machine, z_states):
@@ -158,6 +166,57 @@ def test_relational_back_image_equals_compose(seed):
     assert composed.equiv(relational)
     tight = back_image(machine, z, mode="relational", cluster_limit=1)
     assert composed.equiv(tight)
+
+
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_every_back_image_algorithm_returns_the_same_edge(data):
+    """compose, relational (default and one-part clusters) and auto
+    agree for random z, with auto forced onto both of its branches."""
+    machine = random_machine(data.draw(st.integers(0, 10_000)),
+                             num_state_bits=data.draw(st.integers(3, 6)),
+                             num_input_bits=data.draw(st.integers(1, 3)),
+                             assume=True)
+    # Often a strict subset of the state bits, so the cone is too.
+    names = data.draw(st.lists(st.sampled_from(machine.current_names),
+                               min_size=1, unique=True))
+    z = build_ast(data.draw(ast_strategy(names, max_leaves=16)),
+                  machine.manager)
+    want = back_image(machine, z, mode="compose").edge
+    assert back_image(machine, z, mode="relational").edge == want
+    assert back_image(machine, z, mode="relational",
+                      cluster_limit=1).edge == want
+    assert back_image(machine, z, mode="auto").edge == want
+    with mock.patch.object(image_module, "RELATIONAL_COST", 1):
+        assert back_image(machine, z, mode="auto").edge == want
+
+
+def test_auto_takes_the_cone_product_only_when_compose_is_costly():
+    machine = random_machine(4, num_state_bits=4, num_input_bits=2,
+                             assume=True)
+    first, second = (machine.manager.var(name)
+                     for name in machine.current_names[:2])
+    z = first & ~second
+    sizes = machine.delta_sizes()
+    cost = z.size() * max(sizes[0], sizes[1])
+    with mock.patch.object(image_module, "RELATIONAL_COST", cost):
+        assert image_module._costly_cone(machine, z) == [0, 1]
+    with mock.patch.object(image_module, "RELATIONAL_COST", cost + 1):
+        assert image_module._costly_cone(machine, z) is None
+    assert image_module._costly_cone(machine, machine.manager.true) is None
+
+
+def test_relational_clusters_are_built_once_per_limit():
+    machine = random_machine(9, num_state_bits=5, num_input_bits=2)
+    z = random_function(machine.manager, machine.current_names,
+                        random.Random(9))
+    back_image(machine, z, mode="relational")
+    schedules = dict(machine.schedules)
+    back_image(machine, ~z, mode="relational")
+    assert machine.schedules == schedules
+    back_image(machine, z, mode="relational", cluster_limit=1)
+    ImageComputer(machine)
+    assert len(machine.schedules) == len(schedules) + 2
 
 
 def test_back_image_mode_validation():

@@ -124,7 +124,7 @@ class TestOptionsDefaults:
         assert options.var_choice == "first-top"
         assert options.pairwise_step3 == "simplify"
         assert options.exploit_monotonicity is False
-        assert options.back_image_mode == "compose"
+        assert options.back_image_mode == "auto"
         assert options.use_frontier is False
         assert options.auto_decompose is False
 
