@@ -40,8 +40,8 @@ def _run(machine: Machine, good_conjuncts: Sequence[Function],
     good = manager.conj(good_conjuncts)
     current = good
     not_rings: List[Function] = [~good]
-    recorder.record_iterate(current.size(), str(current.size()),
-                            conjuncts=[current])
+    nodes = current.size()
+    recorder.record_iterate(nodes, str(nodes), conjuncts=[current])
     if not machine.init.entails(current):
         return _violation(machine, not_rings, options, recorder)
     while recorder.iterations < options.max_iterations:
@@ -52,8 +52,8 @@ def _run(machine: Machine, good_conjuncts: Sequence[Function],
                                options.cluster_limit)
             successor = good & image
             not_rings.append(~successor)
-            recorder.record_iterate(successor.size(), str(successor.size()),
-                                    conjuncts=[successor])
+            nodes = successor.size()
+            recorder.record_iterate(nodes, str(nodes), conjuncts=[successor])
             with probe.span("termination_test",
                             tiers={"canonical": 1}) as s:
                 converged = successor.equiv(current)

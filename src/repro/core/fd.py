@@ -11,14 +11,15 @@ independent bits plus one defining function per dependent bit,
     ``R_i  =  R_red  and  (v1 <-> f1(indep))  and  ...``
 
 Images are computed without rebuilding the full-width BDD: dependent
-variables are substituted out of the next-state functions (vector
-compose), the reduced image ranges over independent primed variables
-only, and each dependent bit's new defining function is recovered from
-a two-variable-wider image.  If a declared dependency ever fails to
-hold in some ``R_i``, the run stops with a DEPENDENCY_FAILED outcome —
-the method is only as good as the user's declaration, which is
-precisely the "user-specified" weakness the paper's automatic
-techniques compete against.
+variables are substituted out of the next-state functions that read
+them (vector compose), the reduced image ranges over independent
+primed variables only, and each dependent bit's new defining function
+is recovered from a two-variable-wider image.  The transition parts
+that substitution cannot change are clustered once per run.  If a
+declared dependency ever fails to hold in some ``R_i``, the run stops
+with a DEPENDENCY_FAILED outcome — the method is only as good as the
+user's declaration, which is precisely the "user-specified" weakness
+the paper's automatic techniques compete against.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..bdd.manager import Function
 from ..bdd.sizing import format_profile, shared_size
 from ..fsm.machine import Machine
-from ..fsm.image import clustered_image
+from ..fsm.image import cluster_schedule, clustered_image
 from ..fsm.trace import Trace, forward_counterexample
 from .options import Options
 from .result import Outcome, RunRecorder, VerificationResult
@@ -99,6 +100,20 @@ def _violates(reduced: Function, funcs: Dict[str, Function],
     return False
 
 
+def _part(machine: Machine, index: int, funcs: Dict[str, Function]
+          ) -> Tuple[Function, frozenset]:
+    """State bit ``index``'s transition part ``s' <-> delta_s`` and its
+    support, with the dependent bits substituted out by ``funcs``."""
+    part = machine.transition_partition()[index]
+    support = machine.part_supports()[index]
+    if support.isdisjoint(funcs):
+        return part, support
+    bit = machine.state_bits[index]
+    part = machine.manager.var(bit.next_name).iff(
+        bit.next_fn.compose(funcs))
+    return part, part.support()
+
+
 def _run(machine: Machine, good_conjuncts: List[Function],
          dependent: List[str], options: Options,
          recorder: RunRecorder) -> VerificationResult:
@@ -107,10 +122,29 @@ def _run(machine: Machine, good_conjuncts: List[Function],
     unknown = [n for n in dependent if n not in machine.current_names]
     if unknown:
         raise ValueError(f"not state bits: {unknown}")
-    independent = [n for n in machine.current_names if n not in set(dependent)]
+    dependent_set = set(dependent)
+    independent = [n for n in machine.current_names
+                   if n not in dependent_set]
     prime = machine.prime_map()
-    unprime = machine.unprime_map()
     quantify = list(independent) + list(machine.input_names)
+    reduced_names = {prime[name]: name for name in independent}
+
+    # Substitution changes only the parts whose next-state function
+    # reads a dependent bit.  The other independent parts are clustered
+    # once, here; each image adds the moving parts after their clusters.
+    supports = machine.part_supports()
+    indices = [index for index, name in enumerate(machine.current_names)
+               if name not in dependent_set]
+    fixed = [i for i in indices if supports[i].isdisjoint(dependent_set)]
+    moving = [i for i in indices if i not in fixed]
+    parts = machine.transition_partition()
+    clusters = [(cluster, cluster.support())
+                for cluster, _ in cluster_schedule(
+                    [parts[index] for index in fixed], quantify,
+                    options.cluster_limit)]
+    dependent_index = [machine.current_names.index(n) for n in dependent]
+    assumption_moves = not machine.assumption.support().isdisjoint(
+        dependent_set)
 
     probe = recorder.probe
     try:
@@ -129,27 +163,23 @@ def _run(machine: Machine, good_conjuncts: List[Function],
         recorder.check_time()
         recorder.iterations += 1
         with probe.span("iteration", index=recorder.iterations):
-            # Substitute dependents out of the transition functions.
-            delta_c = {name: fn.compose(funcs)
-                       for name, fn in machine.delta.items()}
-            assume_c = machine.assumption.compose(funcs)
-            source = reduced & assume_c
-            indep_parts = [manager.var(prime[name]).iff(delta_c[name])
-                           for name in independent]
+            # Substitute dependents out of what reads them.
+            assumption = machine.assumption
+            if assumption_moves:
+                assumption = assumption.compose(funcs)
+            source = reduced & assumption
+            indep_parts = clusters + [_part(machine, index, funcs)
+                                      for index in moving]
             with probe.span("image", mode="fd-reduced", input=source) as s:
                 image_reduced = clustered_image(
-                    source, indep_parts, quantify,
-                    {prime[name]: name for name in independent},
-                    options.cluster_limit)
+                    source, indep_parts, quantify, reduced_names)
                 s.note(output=image_reduced)
             new_funcs: Dict[str, Function] = {}
             failed = False
-            for name in dependent:
-                part = manager.var(prime[name]).iff(delta_c[name])
+            for name, index in zip(dependent, dependent_index):
                 wide = clustered_image(
-                    source, indep_parts + [part], quantify,
-                    {prime[n]: n for n in independent + [name]},
-                    options.cluster_limit)
+                    source, indep_parts + [_part(machine, index, funcs)],
+                    quantify, {**reduced_names, prime[name]: name})
                 high = wide.cofactor(name, True)
                 low = wide.cofactor(name, False)
                 if not (high & low).is_false:

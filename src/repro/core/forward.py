@@ -45,8 +45,8 @@ def _run(machine: Machine, good_conjuncts: Sequence[Function],
     reached = machine.init
     frontier = machine.init
     rings = [reached]
-    recorder.record_iterate(reached.size(), str(reached.size()),
-                            conjuncts=[reached])
+    nodes = reached.size()
+    recorder.record_iterate(nodes, str(nodes), conjuncts=[reached])
     if reached.intersects(~good):
         return _violation(machine, rings, good, options, recorder)
     while recorder.iterations < options.max_iterations:
@@ -59,8 +59,8 @@ def _run(machine: Machine, good_conjuncts: Sequence[Function],
                 s.note(output=image)
             successor = reached | image
             rings.append(successor)
-            recorder.record_iterate(successor.size(), str(successor.size()),
-                                    conjuncts=[successor])
+            nodes = successor.size()
+            recorder.record_iterate(nodes, str(nodes), conjuncts=[successor])
             if successor.intersects(~good):
                 return _violation(machine, rings, good, options, recorder)
             with probe.span("termination_test",

@@ -241,19 +241,23 @@ class ImageComputer:
         return successors.rename(machine.unprime_map())
 
 
-def clustered_image(source: Function, parts: Sequence[Function],
+def clustered_image(source: Function,
+                    clusters: Sequence[Tuple[Function, frozenset]],
                     quantify_names: Sequence[str],
-                    rename_map: Dict[str, str],
-                    cluster_limit: int = 2500) -> Function:
-    """Generic one-shot relational image with clustering/early quant.
+                    rename_map: Dict[str, str]) -> Function:
+    """Relational image over ready clusters with early quantification.
 
-    Conjoins ``source`` with the transition ``parts`` while
-    existentially quantifying ``quantify_names`` as early as possible,
-    then renames by ``rename_map``.  Used by the FD engine, whose
-    per-iteration transition parts change (dependent variables are
-    substituted out), so nothing can be precomputed.
+    Conjoins ``source`` with each ``(cluster, support)`` of ``clusters``
+    in order, existentially quantifying each of ``quantify_names``
+    after the last cluster whose support mentions it (names no cluster
+    mentions go last), then renames by ``rename_map``.  Used by the FD
+    engine, which clusters the transition parts that substitution
+    leaves unchanged once per run and appends the parts it rebuilds
+    each iteration.
     """
-    schedule = cluster_schedule(parts, quantify_names, cluster_limit)
+    schedule = _schedule([cluster for cluster, _ in clusters],
+                         [support for _, support in clusters],
+                         set(quantify_names))
     return _relational_product(source, schedule,
                                quantify_names).rename(rename_map)
 

@@ -1,18 +1,27 @@
 """Tests for the functional-dependency engine and extraction."""
 
+import dataclasses
+import importlib
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import repro
 from repro.bdd import BDD
 from repro.expr import BitVec
 from repro.fsm import Builder
-from repro.core import DEPENDENCY_FAILED, Options, Problem, \
+from repro.core import DEPENDENCY_FAILED, Options, Outcome, Problem, \
     extract_dependencies, verify
 from repro.core.fd import DependencyError
-from repro.explicit import explicit_check
+from repro.explicit import explicit_check, explicit_reachable
+from repro.fsm.machine import Machine, StateBit
+from repro.models import build_model
 
-from conftest import random_function
+from conftest import random_function, random_machine, random_property
+
+image_module = importlib.import_module("repro.fsm.image")
+fd_module = importlib.import_module("repro.core.fd")
 
 
 class TestExtraction:
@@ -143,3 +152,136 @@ class TestFdEngine:
         problem.fd_dependent_bits = ["nosuch[0]"]
         with pytest.raises(ValueError):
             verify(problem, "fd")
+
+
+#: (procs, bug) -> (outcome, iterations, iterate profiles) of FD on the
+#: network model; fixed by the reachable sets, not by how images run.
+NETWORK_FD = {
+    (2, None): ("verified", 7, [
+        "13 (1, 1, 1, 1, 13)", "25 (1, 1, 5, 5, 19)",
+        "39 (6, 6, 7, 7, 23)", "43 (5, 5, 6, 8, 28)",
+        "35 (5, 5, 5, 5, 24)", "29 (5, 5, 5, 5, 18)",
+        "24 (5, 5, 5, 5, 13)", "24 (5, 5, 5, 5, 13)"]),
+    (3, None): ("verified", 10, [
+        "19 (1, 1, 1, 1, 1, 1, 19)", "56 (1, 1, 1, 7, 10, 10, 35)",
+        "112 (11, 12, 15, 15, 17, 19, 48)",
+        "162 (15, 17, 20, 23, 23, 26, 62)",
+        "170 (16, 18, 21, 24, 24, 28, 63)",
+        "161 (15, 16, 20, 21, 21, 26, 61)",
+        "119 (9, 10, 13, 13, 13, 17, 59)",
+        "99 (7, 9, 10, 13, 13, 14, 48)", "85 (7, 9, 10, 13, 13, 14, 34)",
+        "73 (7, 9, 10, 13, 13, 14, 22)",
+        "73 (7, 9, 10, 13, 13, 14, 22)"]),
+    (3, "1"): (DEPENDENCY_FAILED, 3, [
+        "19 (1, 1, 1, 1, 1, 1, 19)", "56 (1, 1, 1, 7, 10, 10, 35)",
+        "112 (11, 12, 15, 15, 17, 19, 48)"]),
+}
+
+
+class TestNetworkFd:
+    @pytest.mark.parametrize("procs,bug", list(NETWORK_FD))
+    def test_outcome_iterations_and_profiles(self, procs, bug):
+        result = repro.verify(build_model("network", bug=bug, procs=procs),
+                              "fd")
+        assert (result.outcome, result.iterations,
+                result.iterate_profiles) == NETWORK_FD[procs, bug]
+
+    @pytest.mark.parametrize("procs", [2, 3])
+    def test_unchanged_parts_are_clustered_once(self, procs, monkeypatch):
+        calls = []
+        original = image_module.cluster_schedule
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(image_module, "cluster_schedule", counting)
+        monkeypatch.setattr(fd_module, "cluster_schedule", counting)
+        repro.verify(build_model("network", procs=procs), "fd")
+        assert len(calls) == 1
+
+
+def mirrored_problem(data) -> Problem:
+    """A random machine plus mirror registers, declared dependent.
+
+    A mirror copies a register's next-state function and initial value,
+    so it equals that register in every reachable state.  Hypothesis
+    may also make a register's next state and the assumption read the
+    first mirror, and invert the first mirror's next state (keeping its
+    initial value), which can break the dependency.
+    """
+    seed = data.draw(st.integers(0, 10_000))
+    base = random_machine(seed, num_state_bits=data.draw(st.integers(3, 6)),
+                          num_input_bits=data.draw(st.integers(1, 3)),
+                          assume=data.draw(st.booleans()))
+    manager = base.manager
+    bits = list(base.state_bits)
+    sources = data.draw(st.lists(st.integers(0, len(bits) - 1),
+                                 min_size=1, max_size=3, unique=True))
+    mirrors = [f"m{index}" for index in sources]
+    for name in mirrors:
+        manager.new_var(name)
+        manager.new_var(name + "'")
+    first = manager.var(mirrors[0])
+    if data.draw(st.booleans(), label="register reads a mirror"):
+        index = data.draw(st.integers(0, len(bits) - 1))
+        bits[index] = dataclasses.replace(
+            bits[index], next_fn=bits[index].next_fn
+            ^ (first & manager.var(base.input_names[0])))
+    assumption = base.assumption
+    if data.draw(st.booleans(), label="assumption reads a mirror"):
+        assumption = assumption & (first
+                                   | manager.var(base.input_names[-1]))
+    inverted = data.draw(st.booleans(), label="first mirror inverted")
+    init = base.init
+    for position, (index, name) in enumerate(zip(sources, mirrors)):
+        source = bits[index]
+        next_fn = ~source.next_fn if inverted and position == 0 \
+            else source.next_fn
+        bits.append(StateBit(name, name + "'", next_fn, source.init_value))
+        init = init & (manager.var(name) if source.init_value
+                       else ~manager.var(name))
+    machine = Machine(manager, bits, base.input_names, assumption, init,
+                      name=f"mirrored-{seed}")
+    return Problem(name=machine.name, machine=machine,
+                   good_conjuncts=random_property(machine, seed),
+                   fd_dependent_bits=mirrors)
+
+
+def functionally_dependent(machine: Machine, dependent) -> bool:
+    """Whether the ``dependent`` bits are a function of the other bits
+    on the explicitly enumerated reachable states."""
+    states, truncated = explicit_reachable(machine)
+    assert not truncated
+    positions = [machine.current_names.index(name) for name in dependent]
+    others = [index for index in range(machine.num_state_bits)
+              if index not in positions]
+    seen = {}
+    for state in states:
+        key = tuple(state[index] for index in others)
+        value = tuple(state[index] for index in positions)
+        if seen.setdefault(key, value) != value:
+            return False
+    return True
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_fd_agrees_with_the_explicit_oracle(data):
+    """Declared FD bits: with a true dependency FD gives explicit_check's
+    verdict in fwd's iterations; with a false one it reports the failure
+    or a violation; every counterexample replays."""
+    problem = mirrored_problem(data)
+    options = Options(cluster_limit=data.draw(st.sampled_from([1, 2500])))
+    result = verify(problem, "fd", options)
+    oracle = explicit_check(problem.machine, problem.good_conjuncts)
+    if functionally_dependent(problem.machine, problem.fd_dependent_bits):
+        assert result.verified == oracle.holds
+        forward = verify(problem, "fwd", options)
+        assert (result.outcome, result.iterations) == \
+            (forward.outcome, forward.iterations)
+    else:
+        assert result.outcome in (DEPENDENCY_FAILED, Outcome.VIOLATED)
+    if result.violated:
+        assert not oracle.holds
+        assert result.trace.replay_check(problem.machine)

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from repro.bdd import BDD, iter_assignments
 from repro.expr import BitVec
 from repro.fsm import Builder, ImageComputer, back_image, image, pre_image
-from repro.fsm.image import clustered_image
+from repro.fsm.image import cluster_schedule, clustered_image
 from repro.explicit import explicit_reachable
 
 from conftest import ast_strategy, build_ast, random_function, \
@@ -146,13 +146,16 @@ def test_clustered_image_generic_helper():
     source = machine.init & machine.assumption
     parts = machine.transition_partition()
     quantify = list(machine.current_names) + list(machine.input_names)
-    got = clustered_image(source, parts, quantify, machine.unprime_map(),
-                          cluster_limit=10)
     naive = source
     for part in parts:
         naive = naive & part
     naive = naive.exists(quantify).rename(machine.unprime_map())
-    assert got.equiv(naive)
+    for limit in (1, 10):
+        clusters = [(cluster, cluster.support()) for cluster, _
+                    in cluster_schedule(parts, quantify, limit)]
+        got = clustered_image(source, clusters, quantify,
+                              machine.unprime_map())
+        assert got.equiv(naive)
 
 
 @pytest.mark.parametrize("seed", range(8))

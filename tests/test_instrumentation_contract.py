@@ -156,7 +156,7 @@ EXPECTED: Dict[str, Dict[str, Any]] = {
                   "termination_test": 1},
     },
     "fd": {
-        "events": "run_start gc*2 reorder iteration gc image iteration gc "
+        "events": "run_start gc*2 reorder iteration gc image iteration "
                   "termination_test image iteration gc termination_test "
                   "image iteration gc termination_test image iteration gc "
                   "termination_test image iteration gc termination_test "
@@ -178,7 +178,7 @@ EXPECTED: Dict[str, Dict[str, Any]] = {
             "image_output_nodes": 7, "image_seconds": 7, "iterate_nodes": 8,
             "sampled_live_nodes": None, "sift_nodes_after": 1,
             "sift_seconds": 1, "termination_test_seconds": 7},
-        "spans": {"apply": None, "compose": None, "constrain": None, "gc": 10,
+        "spans": {"apply": None, "compose": None, "constrain": None, "gc": 9,
                   "image": 7, "iteration": 7, "relprod": None, "rename": None,
                   "restrict": None, "run": 1, "sift": 1,
                   "termination_test": 7},
