@@ -9,8 +9,6 @@ Public surface:
 * :func:`bounded_and` — size-bounded conjunction (paper Section V).
 * :func:`sat_count` / :func:`pick_one` / :func:`iter_assignments`.
 * :func:`interleaved` / :func:`blocked` — variable-order recipes.
-* :func:`copy_function` / :func:`order_sensitivity` — cross-order
-  copies; :meth:`BDD.reorder` rebuilds a manager under a new order.
 * :func:`to_dot` — Graphviz export.
 """
 
@@ -23,7 +21,6 @@ from .simplify import restrict_multi
 from .satisfy import iter_assignments, pick_one, sat_count
 from .order import blocked, interleaved
 from .dot import to_dot
-from .transfer import copy_function, order_sensitivity
 
 __all__ = [
     "BDD",
@@ -44,6 +41,4 @@ __all__ = [
     "interleaved",
     "blocked",
     "to_dot",
-    "copy_function",
-    "order_sensitivity",
 ]

@@ -18,11 +18,13 @@ algorithms work on raw integer edges (methods prefixed ``_``) to keep
 the hot paths allocation-free.
 
 **The gc_epoch contract for external edge-keyed caches.**  Raw integer
-edges are only stable between structural events: every
-:meth:`BDD.garbage_collect` and :meth:`BDD.reorder` renumbers nodes, so
-any cache outside the manager that keys on edges (or stores edges as
-values) holds garbage afterwards.  The manager advertises these events
-by incrementing :attr:`BDD.gc_epoch`.  An external cache must therefore record the
+edges are only stable between garbage collections: only
+:meth:`BDD.garbage_collect` renumbers nodes, and with collection
+enabled every verification run begins with one
+(:meth:`repro.core.RunRecorder.run`).  Any cache outside the manager
+that keys on edges (or stores edges as values) holds garbage
+afterwards.  The manager advertises each collection by incrementing
+:attr:`BDD.gc_epoch`.  An external cache must therefore record the
 epoch at which it was filled and flush itself whenever the manager's
 epoch differs — never serve an entry recorded under an older epoch.
 :class:`EpochGuard` packages the discipline; the tautology memo, the
@@ -40,7 +42,7 @@ from __future__ import annotations
 import sys
 import time
 import weakref
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..obs.probe import NULL_PROBE
 
@@ -75,10 +77,10 @@ class BDD:
     """A BDD manager: variable order, unique table, and operation caches.
 
     Variables are created with :meth:`new_var` and are ordered by
-    creation: like the paper's experiments, this package fixes every
-    variable order up front.  :meth:`reorder` rebuilds the whole
-    manager under another order between operations; nothing reorders
-    during a run.
+    creation, once and for all: like the paper's experiments, this
+    package fixes every variable order up front.  Only
+    :meth:`garbage_collect` renumbers nodes (see the gc_epoch contract
+    in the module docstring).
     """
 
     def __init__(self, max_nodes: Optional[int] = None,
@@ -386,63 +388,6 @@ class BDD:
         self._gc_trigger = max(min_nodes,
                                int(live * (1.0 + garbage_ratio)))
         return freed > 0
-
-    def reorder(self, new_order: Sequence[str]) -> int:
-        """Rebuild the whole manager under a new variable order.
-
-        ``new_order`` must be a permutation of the existing variable
-        names.  Every live :class:`Function` handle is rebuilt (its
-        denotation is preserved; its edge — and hash — changes), all
-        caches are flushed, and :attr:`gc_epoch` is bumped so external
-        edge-keyed caches flush too.  Returns the node-table size after
-        the rebuild.
-
-        Like :meth:`garbage_collect`, this must only be called between
-        operations: raw integer edges held anywhere become stale.  The
-        rebuild appends every node above its children, as :meth:`_mk`
-        always does, so collection's one-pass remap still holds.
-        """
-        if sorted(new_order) != sorted(self._var_names):
-            raise ValueError(
-                "new_order must be a permutation of the existing "
-                "variable names")
-        if len(self._compose_caches) > 0:
-            raise RuntimeError("reorder during vector compose")
-        shadow = BDD()
-        for name in new_order:
-            shadow.new_var(name)
-        handles = self._live_functions()
-        cache: Dict[int, int] = {0: 0}
-
-        def rebuild(edge: int) -> int:
-            node = edge >> 1
-            sign = edge & 1
-            done = cache.get(node)
-            if done is None:
-                high = rebuild(self._high[node])
-                low = rebuild(self._low[node])
-                var = shadow._var_edge(
-                    shadow._name_to_level[self._var_names[
-                        self._level[node]]])
-                done = shadow._ite(var, high, low)
-                cache[node] = done
-            return done ^ sign
-
-        new_edges = [rebuild(fn.edge) for fn in handles]
-        self._level = shadow._level
-        self._high = shadow._high
-        self._low = shadow._low
-        self._unique = shadow._unique
-        self._var_names = list(new_order)
-        self._name_to_level = dict(shadow._name_to_level)
-        for fn, edge in zip(handles, new_edges):
-            fn.edge = edge
-        self.clear_caches()
-        self._levelset_ids.clear()
-        self.gc_epoch += 1
-        if len(self._level) > self._peak_nodes:
-            self._peak_nodes = len(self._level)
-        return len(self._level)
 
     def auto_collect(self) -> None:
         """Collection hook for library safe points.
@@ -979,7 +924,10 @@ class Function:
     Instances always denote the same Boolean function, but
     :meth:`BDD.garbage_collect` may renumber the underlying edge —
     hashes are therefore only stable between collections; avoid holding
-    Functions in hash-based containers across engine iterations.
+    Functions in hash-based containers across engine iterations.  A
+    verification run with collection enabled (``Options.gc_min_nodes``
+    not None, the default) collects before its first iteration, so
+    hashes are stable only between runs too.
     """
 
     __slots__ = ("bdd", "edge", "__weakref__")

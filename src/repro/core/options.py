@@ -47,8 +47,11 @@ class Options:
     max_iterations: int = 10_000
     #: Extract a concrete counterexample trace on violation.
     want_trace: bool = True
-    #: Garbage-collect the node table at iterate boundaries once it
-    #: exceeds this size (None disables collection).
+    #: Garbage collection: a run collects once before its first
+    #: iteration, then at iterate boundaries once the node table
+    #: exceeds this size (and has doubled since the last collection).
+    #: None disables both.  A collection renumbers edges, so a run that
+    #: collects changes the hash of every live Function.
     gc_min_nodes: Optional[int] = 200_000
 
     # -- image computation ---------------------------------------------------

@@ -227,10 +227,16 @@ class RunRecorder:
             *args: Any) -> VerificationResult:
         """Run ``body(*args, self)``: the engine's whole run.
 
-        A budget error becomes a budget outcome; any other exception
-        propagates.  Either way :meth:`release` runs.
+        When collection is enabled (``Options.gc_min_nodes`` is not
+        None) the run first collects once, so its first iteration
+        starts from a table that holds only live nodes, not the model
+        builder's garbage.  A budget error becomes a budget outcome;
+        any other exception propagates.  Either way :meth:`release`
+        runs.
         """
         try:
+            if self.options.gc_min_nodes is not None:
+                self.manager.garbage_collect()
             return body(*args, self)
         except BudgetExceededError as error:
             return self.finish_budget(error)

@@ -28,6 +28,7 @@ the blunt global ``5x + 1s`` bound in ``benchmarks/regress.py``.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -74,13 +75,23 @@ def git_rev(cwd: Optional[Union[str, Path]] = None) -> Optional[str]:
     """Short git revision of ``cwd`` (or the process cwd); None offstage.
 
     Best-effort on purpose: a missing git binary or a non-repo working
-    directory must not block recording a point.
+    directory must not block recording a point.  Asked once per process
+    and directory: a running process's code does not change when HEAD
+    moves, and a server archives a point for every executed job.
     """
+    try:
+        directory = os.path.abspath(cwd if cwd is not None else os.getcwd())
+    except OSError:
+        return None
+    return _git_rev_in(directory)
+
+
+@functools.lru_cache(maxsize=None)
+def _git_rev_in(directory: str) -> Optional[str]:
     try:
         proc = subprocess.run(
             ["git", "rev-parse", "--short", "HEAD"],
-            cwd=str(cwd) if cwd is not None else None,
-            capture_output=True, text=True, timeout=10)
+            cwd=directory, capture_output=True, text=True, timeout=10)
     except (OSError, subprocess.SubprocessError):
         return None
     if proc.returncode != 0:

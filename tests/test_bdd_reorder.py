@@ -1,15 +1,10 @@
-"""Tests for whole-manager reordering and the early-exit checks."""
+"""Tests for the early-exit checks ``intersects`` and ``entails``."""
 
-import random
-
-import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 from repro.bdd import BDD
-from repro.iclist import TautologyChecker
 
-from conftest import all_assignments, ast_strategy, build_ast, eval_ast, \
-    random_function
+from conftest import ast_strategy, build_ast
 
 NAMES = ("a", "b", "c", "d")
 
@@ -19,56 +14,6 @@ def fresh_manager():
     for name in NAMES:
         mgr.new_var(name)
     return mgr
-
-
-class TestReorderInPlace:
-    @given(ast=ast_strategy(NAMES, max_leaves=10),
-           permutation=st.permutations(NAMES))
-    @settings(max_examples=60, deadline=None)
-    def test_semantics_preserved(self, ast, permutation):
-        mgr = fresh_manager()
-        fn = build_ast(ast, mgr)
-        mgr.reorder(list(permutation))
-        assert mgr.var_names == tuple(permutation)
-        for assignment in all_assignments(NAMES):
-            assert fn.evaluate(assignment) == eval_ast(ast, assignment)
-
-    def test_rejects_non_permutation(self):
-        mgr = fresh_manager()
-        with pytest.raises(ValueError):
-            mgr.reorder(["a", "b"])
-        with pytest.raises(ValueError):
-            mgr.reorder(["a", "b", "c", "x"])
-
-    def test_epoch_bumped_and_caches_flushed(self):
-        mgr = fresh_manager()
-        f = mgr.var("a") & mgr.var("b")
-        checker = TautologyChecker(mgr)
-        assert checker.is_tautology([f, ~f])
-        epoch = mgr.gc_epoch
-        mgr.reorder(["d", "c", "b", "a"])
-        assert mgr.gc_epoch == epoch + 1
-        # Checker must still answer correctly after the flush.
-        assert checker.is_tautology([f, ~f])
-        assert not checker.is_tautology([f])
-
-    def test_canonicity_after_reorder(self):
-        mgr = fresh_manager()
-        f = (mgr.var("a") & mgr.var("b")) | mgr.var("c")
-        mgr.reorder(["c", "b", "a", "d"])
-        g = (mgr.var("a") & mgr.var("b")) | mgr.var("c")
-        assert f.edge == g.edge
-
-    def test_multiple_handles_all_remapped(self):
-        mgr = fresh_manager()
-        rng = random.Random(0)
-        fns = [random_function(mgr, NAMES, rng) for _ in range(6)]
-        tables = [[fn.evaluate(a) for a in all_assignments(NAMES)]
-                  for fn in fns]
-        mgr.reorder(["b", "d", "a", "c"])
-        for fn, table in zip(fns, tables):
-            got = [fn.evaluate(a) for a in all_assignments(NAMES)]
-            assert got == table
 
 
 class TestEarlyExitChecks:

@@ -64,7 +64,7 @@ RUNS: Dict[str, tuple] = {
 
 EXPECTED: Dict[str, Dict[str, Any]] = {
     "fwd": {
-        "events": "run_start iteration gc image iteration "
+        "events": "run_start gc iteration gc image iteration "
                   "termination_test image iteration gc termination_test "
                   "image iteration gc termination_test image iteration gc "
                   "termination_test run_end",
@@ -81,12 +81,12 @@ EXPECTED: Dict[str, Dict[str, Any]] = {
             "conjunct_list_length": 5, "conjunct_nodes": 5,
             "image_output_nodes": 4, "image_seconds": 4, "iterate_nodes": 5,
             "sampled_live_nodes": None, "termination_test_seconds": 4},
-        "spans": {"apply": None, "gc": 4, "image": 4, "iteration": 4,
+        "spans": {"apply": None, "gc": 5, "image": 4, "iteration": 4,
                   "quantify": None, "relprod": None, "rename": None, "run": 1,
                   "termination_test": 4},
     },
     "bkwd": {
-        "events": "run_start iteration gc back_image iteration "
+        "events": "run_start gc iteration gc back_image iteration "
                   "gc termination_test run_end",
         "fields": {"run_start": RUN_START, "gc": GC,
                    "iteration": ITERATION, "back_image": IMAGE,
@@ -101,12 +101,12 @@ EXPECTED: Dict[str, Dict[str, Any]] = {
             "bdd_quantify_seconds": None, "conjunct_list_length": 2,
             "conjunct_nodes": 2, "iterate_nodes": 2,
             "sampled_live_nodes": None, "termination_test_seconds": 1},
-        "spans": {"apply": None, "back_image": 1, "compose": None, "gc": 2,
+        "spans": {"apply": None, "back_image": 1, "compose": None, "gc": 3,
                   "iteration": 1, "quantify": None, "run": 1,
                   "termination_test": 1},
     },
     "ici": {
-        "events": "run_start iteration gc back_image*3 "
+        "events": "run_start gc iteration gc back_image*3 "
                   "iteration gc termination_test run_end",
         "fields": {"run_start": RUN_START, "gc": GC,
                    "iteration": ITERATION, "back_image": IMAGE,
@@ -121,12 +121,12 @@ EXPECTED: Dict[str, Dict[str, Any]] = {
             "bdd_quantify_seconds": None, "bdd_restrict_seconds": None,
             "conjunct_list_length": 2, "conjunct_nodes": 6, "iterate_nodes": 2,
             "sampled_live_nodes": None, "termination_test_seconds": 1},
-        "spans": {"apply": None, "back_image": 3, "compose": None, "gc": 2,
+        "spans": {"apply": None, "back_image": 3, "compose": None, "gc": 3,
                   "iteration": 1, "quantify": None, "restrict": None, "run": 1,
                   "termination_test": 1},
     },
     "xici": {
-        "events": "run_start gc iteration gc back_image*3 "
+        "events": "run_start gc*2 iteration gc back_image*3 "
                   "iteration gc termination_test run_end",
         "fields": {"run_start": RUN_START, "gc": GC,
                    "iteration": ITERATION, "back_image": IMAGE,
@@ -143,13 +143,13 @@ EXPECTED: Dict[str, Dict[str, Any]] = {
             "evaluate_round_seconds": 2, "iterate_nodes": 2,
             "phase_simplify_seconds": 2, "sampled_live_nodes": None,
             "termination_test_seconds": 1},
-        "spans": {"apply": None, "back_image": 3, "compose": None, "gc": 3,
+        "spans": {"apply": None, "back_image": 3, "compose": None, "gc": 4,
                   "iteration": 1, "merge_round": 2, "quantify": None,
                   "restrict": None, "run": 1, "simplify": 2,
                   "termination_test": 1},
     },
     "fd": {
-        "events": "run_start iteration gc image iteration "
+        "events": "run_start gc iteration gc image iteration "
                   "termination_test image iteration gc termination_test "
                   "image iteration gc termination_test image iteration gc "
                   "termination_test image iteration gc termination_test "
@@ -170,13 +170,13 @@ EXPECTED: Dict[str, Dict[str, Any]] = {
             "conjunct_list_length": 8, "conjunct_nodes": 40,
             "image_output_nodes": 7, "image_seconds": 7, "iterate_nodes": 8,
             "sampled_live_nodes": None, "termination_test_seconds": 7},
-        "spans": {"apply": None, "compose": None, "constrain": None, "gc": 7,
+        "spans": {"apply": None, "compose": None, "constrain": None, "gc": 8,
                   "image": 7, "iteration": 7, "relprod": None, "rename": None,
                   "restrict": None, "run": 1,
                   "termination_test": 7},
     },
     "xici-violated": {
-        "events": "run_start gc iteration gc back_image*3 "
+        "events": "run_start gc*2 iteration gc back_image*3 "
                   "iteration run_end",
         "fields": {"run_start": RUN_START, "gc": GC,
                    "iteration": ITERATION, "back_image": IMAGE,
@@ -194,12 +194,12 @@ EXPECTED: Dict[str, Dict[str, Any]] = {
             "iterate_nodes": 2, "phase_simplify_seconds": 2,
             "sampled_live_nodes": None, },
         "spans": {"apply": None, "back_image": 3, "compose": None,
-                  "constrain": None, "gc": 2, "iteration": 1, "merge_round": 1,
+                  "constrain": None, "gc": 3, "iteration": 1, "merge_round": 1,
                   "quantify": None, "restrict": None, "run": 1,
                   "simplify": 2},
     },
     "xici-time-limit": {
-        "events": "run_start gc iteration gc budget_check "
+        "events": "run_start gc*2 iteration gc budget_check "
                   "back_image*3 iteration gc termination_test run_end",
         "fields": {"run_start": RUN_START, "gc": GC,
                    "iteration": ITERATION, "budget_check": BUDGET_CHECK,
@@ -217,13 +217,13 @@ EXPECTED: Dict[str, Dict[str, Any]] = {
             "evaluate_round_seconds": 2, "iterate_nodes": 2,
             "phase_simplify_seconds": 2, "sampled_live_nodes": None,
             "termination_test_seconds": 1},
-        "spans": {"apply": None, "back_image": 3, "compose": None, "gc": 3,
+        "spans": {"apply": None, "back_image": 3, "compose": None, "gc": 4,
                   "iteration": 1, "merge_round": 2, "quantify": None,
                   "restrict": None, "run": 1, "simplify": 2,
                   "termination_test": 1},
     },
     "xici-merges": {
-        "events": "run_start gc merge iteration back_image gc "
+        "events": "run_start gc*2 merge iteration back_image gc "
                   "merge iteration termination_test run_end",
         "fields": {"run_start": RUN_START, "gc": GC,
                    "merge": MERGE, "iteration": ITERATION, "back_image": IMAGE,
@@ -242,7 +242,7 @@ EXPECTED: Dict[str, Dict[str, Any]] = {
             "merge_product_nodes": 2, "merge_ratio": 2,
             "phase_simplify_seconds": 2, "sampled_live_nodes": None,
             "termination_test_seconds": 1},
-        "spans": {"apply": None, "back_image": 1, "compose": None, "gc": 2,
+        "spans": {"apply": None, "back_image": 1, "compose": None, "gc": 3,
                   "iteration": 1, "merge_round": 2, "quantify": None,
                   "restrict": None, "run": 1, "simplify": 2,
                   "termination_test": 1},

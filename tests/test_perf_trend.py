@@ -9,6 +9,7 @@ all exact assertions, not flaky timing checks.
 from __future__ import annotations
 
 import json
+import subprocess
 
 import pytest
 
@@ -225,6 +226,26 @@ class TestHistoryStore:
         assert {c["config"] for c in points[0]["cells"]} \
             == {"plain", "cached"}
         assert point0["kind"] == "perf_point"
+
+    def test_git_rev_is_asked_once_per_process(self, tmp_path,
+                                               monkeypatch):
+        calls = []
+
+        def fake_run(args, **kwargs):
+            calls.append(args)
+            return subprocess.CompletedProcess(args, 0, stdout="abc1234\n",
+                                               stderr="")
+
+        monkeypatch.setattr(perf.subprocess, "run", fake_run)
+        perf._git_rev_in.cache_clear()
+        try:
+            for index in range(2):
+                _, point = perf.record_run_point(
+                    tmp_path, _run_doc(index), git=None, host=HOST)
+                assert point["git_rev"] == "abc1234"
+        finally:
+            perf._git_rev_in.cache_clear()
+        assert len(calls) == 1
 
     def test_torn_and_foreign_lines_skipped(self, tmp_path):
         perf.record_report_point(tmp_path, _report(0), git="r", host=HOST)
