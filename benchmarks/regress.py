@@ -1,9 +1,11 @@
 """Benchmark-regression gate: current run vs committed baselines.
 
-Re-runs the standalone bench (``bench_evaluator_cache.py``), compares
-every (model, method, config) cell of the fresh report against the
-committed ``BENCH_*.json`` baseline,
-and exits nonzero on any violation — this is the CI ``perf-gate`` job.
+Re-runs every bench listed in :data:`BENCHES`, compares every (model,
+method, config) cell of the fresh report against the committed
+``BENCH_*.json`` baseline, and exits nonzero on any violation — this is
+the CI ``perf-gate`` job.  The list is empty at present: the paper-table
+cells are measured end to end by ``benchmarks/e2e/run.py``, and no
+standalone bench is gated here.
 
 The comparison core lives in :mod:`repro.obs.ledger` and is shared
 with ``repro compare`` — :class:`Tolerance`, the default tolerance
@@ -63,8 +65,6 @@ from repro.obs import benchjson, perf  # noqa: E402
 from repro.obs.ledger import DEFAULT_TOLERANCES, Tolerance, \
     diff_reports  # noqa: E402
 
-import bench_evaluator_cache  # noqa: E402
-
 __all__ = ["Tolerance", "DEFAULT_TOLERANCES", "compare_reports",
            "diff_reports", "main"]
 
@@ -84,9 +84,7 @@ def compare_reports(baseline: Dict[str, Any], current: Dict[str, Any],
 
 
 #: (baseline filename, module with build_report) for every gated bench.
-BENCHES = (
-    ("BENCH_evaluator.json", bench_evaluator_cache),
-)
+BENCHES: Tuple[Tuple[str, Any], ...] = ()
 
 
 def main(argv=None) -> int:
@@ -127,6 +125,7 @@ def main(argv=None) -> int:
         parser.error("--record requires --history LEDGER")
     history = perf.load_history(args.history) \
         if args.history is not None else []
+    next_index = len(history)
 
     all_violations: List[str] = []
     verdicts: List[Dict[str, Any]] = []
@@ -135,10 +134,10 @@ def main(argv=None) -> int:
         print(f"== {filename} (rounds={rounds}) ==")
         report = module.build_report(scale="quick", rounds=rounds)
         if args.record:
-            index, _point = perf.record_report_point(args.history,
-                                                     report)
-            print(f"  recorded history point #{index} in "
+            perf.record_report_point(args.history, report)
+            print(f"  recorded history point #{next_index} in "
                   f"{perf.history_path(args.history)}")
+            next_index += 1
         if args.update_baselines:
             benchjson.write_report(report, baseline_path)
             print(f"updated {baseline_path}")

@@ -14,8 +14,7 @@ Public surface:
 
 from .manager import BDD, BudgetExceededError, EpochGuard, Function, \
     TERMINAL_LEVEL
-from .sizing import SizeMemo, format_profile, individual_sizes, profile, \
-    shared_size
+from .sizing import format_profile, individual_sizes, profile, shared_size
 from .bounded import bounded_and
 from .simplify import restrict_multi
 from .satisfy import iter_assignments, pick_one, sat_count
@@ -28,7 +27,6 @@ __all__ = [
     "Function",
     "BudgetExceededError",
     "TERMINAL_LEVEL",
-    "SizeMemo",
     "shared_size",
     "individual_sizes",
     "profile",

@@ -27,9 +27,10 @@ afterwards.  The manager advertises each collection by incrementing
 :attr:`BDD.gc_epoch`.  An external cache must therefore record the
 epoch at which it was filled and flush itself whenever the manager's
 epoch differs — never serve an entry recorded under an older epoch.
-:class:`EpochGuard` packages the discipline; the tautology memo, the
-size memo (:class:`repro.bdd.sizing.SizeMemo`) and the pair cache
-(:class:`repro.iclist.paircache.PairCache`) all use it.
+:class:`EpochGuard` packages the discipline; the tautology memo
+(:class:`repro.iclist.tautology.TautologyChecker`) uses it.  The
+manager's own computed tables, node counts included, are dropped by
+:meth:`BDD.clear_caches` at every collection and need no guard.
 
 Cumulative operation statistics (cache hits/misses, node allocations,
 bounded-AND aborts, ...) survive :meth:`BDD.clear_caches` and
@@ -100,6 +101,8 @@ class BDD:
         self._constrain_cache: Dict[Tuple[int, int], int] = {}
         self._compose_caches: Dict[int, Dict[int, int]] = {}
         self._compose_key = 0
+        # Node counts of one or two roots, keyed by sorted node ids.
+        self._count_cache: Dict[Tuple[int, ...], int] = {}
         self._levelset_ids: Dict[frozenset, int] = {}
         # Live Function handles, for garbage collection roots.  Keyed by
         # object identity: Function equality is *value* equality, so a
@@ -228,7 +231,7 @@ class BDD:
         self._cache_evictions += (
             len(self._ite_cache) + len(self._quant_cache)
             + len(self._andex_cache) + len(self._restrict_cache)
-            + len(self._constrain_cache)
+            + len(self._constrain_cache) + len(self._count_cache)
             + sum(len(cache) for cache in self._compose_caches.values()))
         self._cache_flushes += 1
         self._ite_cache.clear()
@@ -236,6 +239,7 @@ class BDD:
         self._andex_cache.clear()
         self._restrict_cache.clear()
         self._constrain_cache.clear()
+        self._count_cache.clear()
         self._compose_caches.clear()
 
     def stats(self) -> Dict[str, int]:
@@ -827,9 +831,24 @@ class BDD:
 
         This is the paper's ``BDDSize`` with node sharing taken into
         account: ``BDDSize(X_i, X_j)`` counts shared structure once.
+        Counts of one or two roots — a conjunct, or a pair that
+        Figure 1 prices — are memoized like any other operation;
+        complement bits never change a count, so the key is the sorted
+        node ids.  Larger root sets are walked every time.
         """
+        roots = [e >> 1 for e in edges]
+        if len(roots) > 2:
+            return self._walk_count(roots)
+        key = tuple(sorted(roots))
+        count = self._count_cache.get(key)
+        if count is None:
+            count = self._walk_count(roots)
+            self._count_cache[key] = count
+        return count
+
+    def _walk_count(self, stack: List[int]) -> int:
+        """Count the nodes under the root node ids (consumes ``stack``)."""
         seen = set()
-        stack = [e >> 1 for e in edges]
         nontrivial = False
         while stack:
             node = stack.pop()

@@ -11,72 +11,11 @@ tables' "BDD Nodes" column reports for implicit conjunctions:
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
-from .manager import BDD, EpochGuard, Function
+from .manager import Function
 
-__all__ = ["SizeMemo", "shared_size", "individual_sizes", "profile",
-           "format_profile"]
-
-
-class SizeMemo:
-    """Per-edge node-count memo, safe across garbage collections.
-
-    ``Function.size()`` walks the whole BDD; the implicit-conjunction
-    engines ask for the same sizes over and over (every simplify pass
-    compares every conjunct against every peer, every fixpoint
-    iteration revisits mostly-unchanged conjuncts).  Since an edge
-    determines its function — and therefore its node count — between
-    collections, a ``{edge: size}`` dict answers repeats in O(1).
-
-    Follows the gc_epoch contract (see :mod:`repro.bdd.manager`): the
-    memo flushes itself whenever the manager renumbers edges, so a
-    stale entry can never be served.  Capacity-bounded; overflowing
-    drops the whole table (sizes are cheap to recompute relative to
-    tracking recency).
-    """
-
-    __slots__ = ("manager", "capacity", "hits", "misses", "flushes",
-                 "_guard", "_sizes")
-
-    def __init__(self, manager: BDD, capacity: int = 1 << 18) -> None:
-        self.manager = manager
-        self.capacity = capacity
-        self.hits = 0
-        self.misses = 0
-        self.flushes = 0
-        self._guard = EpochGuard(manager)
-        self._sizes: Dict[int, int] = {}
-
-    def __len__(self) -> int:
-        return len(self._sizes)
-
-    def check_epoch(self) -> None:
-        """Flush if the manager renumbered edges since the last call."""
-        if self._guard.refresh():
-            self._sizes.clear()
-            self.flushes += 1
-
-    def size(self, fn: Function) -> int:
-        """Memoized ``fn.size()``."""
-        self.check_epoch()
-        edge = fn.edge
-        cached = self._sizes.get(edge)
-        if cached is not None:
-            self.hits += 1
-            return cached
-        self.misses += 1
-        result = fn.size()
-        if len(self._sizes) >= self.capacity:
-            self._sizes.clear()
-            self.flushes += 1
-        self._sizes[edge] = result
-        return result
-
-    def stats(self) -> Dict[str, int]:
-        """Counters for reporting: hits, misses, flushes, entries."""
-        return {"hits": self.hits, "misses": self.misses,
-                "flushes": self.flushes, "entries": len(self._sizes)}
+__all__ = ["shared_size", "individual_sizes", "profile", "format_profile"]
 
 
 def shared_size(functions: Sequence[Function]) -> int:

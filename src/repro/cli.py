@@ -28,7 +28,7 @@ Subcommands:
 * ``perf`` — the perf trajectory observatory
   (docs/OBSERVABILITY.md, "Perf trajectory")::
 
-      python -m repro perf record BENCH_evaluator.json --ledger runs/
+      python -m repro perf record report.json --ledger runs/
       python -m repro perf trend --ledger runs/
       python -m repro perf attribute "run:fifo-8/XICI/<hash>" \\
           --ledger runs/
@@ -219,11 +219,6 @@ def _print_stats(result) -> None:
         print(f"  merge ratios           count={summary['count']} "
               f"min={summary['min']:.3f} mean={summary['mean']:.3f} "
               f"max={summary['max']:.3f}")
-    pair_cache = result.extra.get("pair_cache_stats")
-    if pair_cache is not None:
-        print("pair cache:")
-        for key in sorted(pair_cache):
-            print(f"  {key:<22} {pair_cache[key]}")
 
 
 def _cmd_ledger(args: argparse.Namespace) -> int:
@@ -414,6 +409,8 @@ def _cmd_perf(args: argparse.Namespace) -> int:
             print("perf record: give at least one benchjson report "
                   "file or run:<ledger run id>", file=sys.stderr)
             return 2
+        # Read once: a point's index is its position in the history.
+        points = perf.load_history(args.ledger)
         for target in args.targets:
             if target.startswith("run:"):
                 run_id, doc = ledger.load_run(args.ledger,
@@ -432,19 +429,20 @@ def _cmd_perf(args: argparse.Namespace) -> int:
                 if req_hash is None:
                     # CLI-verified runs have no request-index entry;
                     # an earlier point for the same run still knows it.
-                    for prior in perf.load_history(args.ledger):
+                    for prior in points:
                         if prior.get("run_id") == run_id \
                                 and prior.get("request_hash"):
                             req_hash = prior["request_hash"]
                             break
-                index, _point = perf.record_run_point(
+                point = perf.record_run_point(
                     args.ledger, doc, run_id=run_id,
                     request_hash=req_hash, source="cli")
             else:
                 report = benchjson.load_report(target)
-                index, _point = perf.record_report_point(
+                point = perf.record_report_point(
                     args.ledger, report, source=args.source)
-            print(f"recorded history point #{index} from {target}")
+            print(f"recorded history point #{len(points)} from {target}")
+            points.append(point)
         return 0
     points = perf.load_history(args.ledger)
     if args.action == "attribute":
@@ -532,12 +530,9 @@ def _add_verify_parser(subparsers) -> None:
     parser.add_argument("--simplifier", default="restrict",
                         choices=["restrict", "constrain", "multiway"])
     parser.add_argument("--bounded-and", action="store_true")
-    parser.add_argument("--no-pair-cache", action="store_true",
-                        help="disable the persistent pair-product cache "
-                             "(recompute every evaluation from scratch)")
     parser.add_argument("--stats", action="store_true",
-                        help="print BDD.stats() and cache counters "
-                             "after the run")
+                        help="print BDD.stats() and the evaluator's "
+                             "counters after the run")
     parser.add_argument("--back-image", default="auto",
                         choices=BACK_IMAGE_MODES,
                         help="BackImage algorithm: per conjunct (auto, "

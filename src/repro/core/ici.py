@@ -28,7 +28,7 @@ from __future__ import annotations
 from typing import List, Optional, Sequence
 
 from ..bdd.manager import Function
-from ..bdd.sizing import SizeMemo, format_profile, shared_size
+from ..bdd.sizing import format_profile, shared_size
 from ..fsm.machine import Machine
 from ..fsm.image import back_image
 from .options import Options
@@ -53,10 +53,8 @@ def verify_ici(machine: Machine, good_conjuncts: Sequence[Function],
     return recorder.run(_run, machine, list(good_conjuncts), options)
 
 
-def _simplify_positional(manager, conjuncts: List[Function],
-                         options: Options,
-                         size_memo: Optional[SizeMemo] = None
-                         ) -> List[Function]:
+def _simplify_positional(conjuncts: List[Function],
+                         options: Options) -> List[Function]:
     """Peer simplification that strictly preserves list positions.
 
     Position j of the result always corresponds to position j of the
@@ -64,20 +62,17 @@ def _simplify_positional(manager, conjuncts: List[Function],
     test compares positionwise, so any reshuffling would make
     convergence undetectable and the method would spin forever.
 
-    ``size_memo`` persists across fixpoint iterations: the positional
-    policy revisits mostly-unchanged conjuncts every step, so their
-    node counts are answered from the epoch-aware memo instead of being
-    re-walked.
+    The positional policy revisits mostly-unchanged conjuncts every
+    step; their node counts come from the manager's count table
+    instead of being re-walked.
     """
-    measure = (size_memo.size if size_memo is not None
-               else (lambda fn: fn.size()))
     result = list(conjuncts)
-    order = sorted(range(len(result)), key=lambda i: measure(result[i]))
+    order = sorted(range(len(result)), key=lambda i: result[i].size())
     for i in order:
         target = result[i]
         if target.is_constant:
             continue
-        target_size = measure(target)
+        target_size = target.size()
         for j in order:
             if i == j:
                 continue
@@ -85,15 +80,15 @@ def _simplify_positional(manager, conjuncts: List[Function],
             if care.is_constant:
                 continue
             if options.simplify_only_by_smaller \
-                    and measure(care) > target_size:
+                    and care.size() > target_size:
                 continue
             simplified = (target.constrain(care)
                           if options.simplifier == "constrain"
                           else target.restrict(care))
             if simplified.edge != target.edge \
-                    and measure(simplified) <= target_size:
+                    and simplified.size() <= target_size:
                 target = simplified
-                target_size = measure(target)
+                target_size = target.size()
         result[i] = target
     return result
 
@@ -122,11 +117,8 @@ def _fast_termination(stepped: List[Function],
 
 def _run(machine: Machine, good_conjuncts: List[Function],
          options: Options, recorder: RunRecorder) -> VerificationResult:
-    manager = machine.manager
     probe = recorder.probe
-    size_memo = SizeMemo(manager) if options.use_pair_cache else None
-    current = _simplify_positional(manager, list(good_conjuncts), options,
-                                   size_memo)
+    current = _simplify_positional(list(good_conjuncts), options)
     history: List[List[Function]] = [list(good_conjuncts)]
     recorder.record_iterate(shared_size(current), format_profile(current),
                             conjuncts=current)
@@ -143,14 +135,11 @@ def _run(machine: Machine, good_conjuncts: List[Function],
                                    options.back_image_mode,
                                    options.cluster_limit)
                 stepped.append(good & image)
-            stepped = _simplify_positional(manager, stepped, options,
-                                           size_memo)
+            stepped = _simplify_positional(stepped, options)
             history.append(stepped)
             recorder.record_iterate(shared_size(stepped),
                                     format_profile(stepped),
                                     conjuncts=stepped)
-            if size_memo is not None:
-                recorder.extra["size_memo_stats"] = size_memo.stats()
             with probe.span("termination_test") as s:
                 tier = _fast_termination(stepped, current)
                 s.note(converged=tier is not None,

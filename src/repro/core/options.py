@@ -26,7 +26,7 @@ __all__ = ["Options", "OPTIONS_SCHEMA_VERSION", "request_hash"]
 #: Version of the serialized Options shape (:meth:`Options.to_dict`).
 #: Bump on any incompatible rename, retype or removal of a
 #: serializable field.
-OPTIONS_SCHEMA_VERSION = 3
+OPTIONS_SCHEMA_VERSION = 4
 
 
 @dataclass
@@ -72,12 +72,6 @@ class Options:
     evaluator: str = "greedy"
     #: Abort pairwise products that exceed a useful size (Section V wish).
     use_bounded_and: bool = False
-    #: Keep one pair-product cache alive across merge rounds *and*
-    #: fixpoint iterations (results are edge-identical either way; off
-    #: recomputes everything per evaluation call, for the ablation).
-    use_pair_cache: bool = True
-    #: Entry cap of the pair-product cache (LRU beyond this).
-    pair_cache_capacity: int = 1 << 16
     #: BDDSimplify operator: "restrict" (paper) or "constrain".
     simplifier: str = "restrict"
     #: Only simplify a conjunct by smaller peers (Section III.A).
@@ -158,17 +152,12 @@ class Options:
         verify`` flags: missing attributes keep their dataclass
         defaults, so programmatic callers can pass a bare
         ``argparse.Namespace`` with just the flags they care about.
-        The one inversion (``--no-pair-cache`` → ``use_pair_cache``)
-        lives here instead of being hand-wired at every call site.
         """
         defaults = {f.name: f.default for f in fields(cls)}
         values = {}
         for arg_name, field_name in cls.ARG_FIELDS.items():
             values[field_name] = getattr(args, arg_name,
                                          defaults[field_name])
-        no_pair_cache = getattr(args, "no_pair_cache",
-                                not defaults["use_pair_cache"])
-        values["use_pair_cache"] = not no_pair_cache
         values["tracer"] = tracer
         values["metrics"] = metrics
         values["spans"] = spans
@@ -194,8 +183,6 @@ class Options:
         "grow_threshold": (int, float),
         "evaluator": (str,),
         "use_bounded_and": (bool,),
-        "use_pair_cache": (bool,),
-        "pair_cache_capacity": (int,),
         "simplifier": (str,),
         "simplify_only_by_smaller": (bool,),
         "var_choice": (str,),
@@ -300,7 +287,6 @@ class Options:
                 "grow_threshold": self.grow_threshold,
                 "evaluator": self.evaluator,
                 "use_bounded_and": self.use_bounded_and,
-                "use_pair_cache": self.use_pair_cache,
                 "simplifier": self.simplifier,
                 "var_choice": self.var_choice,
                 "pairwise_step3": self.pairwise_step3,
@@ -325,8 +311,6 @@ class Options:
         if self.pairwise_step3 not in ("simplify", "direct", "off"):
             raise ValueError(
                 f"unknown pairwise_step3 {self.pairwise_step3!r}")
-        if self.pair_cache_capacity <= 0:
-            raise ValueError("pair_cache_capacity must be positive")
         if self.heartbeat is not None and self.heartbeat <= 0:
             raise ValueError("heartbeat interval must be positive")
         if self.heartbeat_stall is not None and self.heartbeat_stall <= 0:

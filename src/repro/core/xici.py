@@ -29,7 +29,6 @@ from ..fsm.machine import Machine
 from ..fsm.image import back_image
 from ..iclist.conjlist import ConjList
 from ..iclist.evaluate import EvaluationStats, greedy_evaluate
-from ..iclist.paircache import PairCache
 from ..iclist.cover import matching_evaluate
 from ..iclist.tautology import TautologyChecker
 from ..iclist.compare import lists_equal
@@ -52,20 +51,17 @@ def verify_xici(machine: Machine, good_conjuncts: Sequence[Function],
 
 
 def _condition(conjlist: ConjList, options: Options,
-               eval_stats: EvaluationStats,
-               cache: Optional[PairCache], probe: Probe) -> None:
+               eval_stats: EvaluationStats, probe: Probe) -> None:
     """One simplify-and-evaluate pass (Section III.A).
 
-    ``cache`` is the run-long pair-product cache: because it is keyed
-    by canonical edges and both the goal conjuncts and near-fixpoint
-    iterates recur between calls, iteration N+1's evaluation reuses
-    iteration N's products instead of rebuilding the full O(n^2) table.
+    The goal conjuncts and near-fixpoint iterates recur between calls,
+    so iteration N+1 finds most of iteration N's pair products and node
+    counts in the manager's computed tables.
     """
     with probe.span("simplify"):
         conjlist.simplify(
             simplifier=options.simplifier,
-            only_by_smaller=options.simplify_only_by_smaller,
-            size_memo=cache.sizes if cache is not None else None)
+            only_by_smaller=options.simplify_only_by_smaller)
     if options.evaluator == "matching":
         matching_evaluate(conjlist)
     else:
@@ -73,7 +69,6 @@ def _condition(conjlist: ConjList, options: Options,
                         grow_threshold=options.grow_threshold,
                         use_bounded=options.use_bounded_and,
                         stats=eval_stats,
-                        cache=cache,
                         probe=probe)
 
 
@@ -90,8 +85,6 @@ def _run(machine: Machine, good_conjuncts: List[Function],
                                pairwise_step3=options.pairwise_step3,
                                simplifier=checker_simplifier)
     eval_stats = EvaluationStats()
-    cache = (PairCache(manager, capacity=options.pair_cache_capacity)
-             if options.use_pair_cache else None)
     if options.auto_decompose:
         split: List[Function] = []
         for conjunct in good_conjuncts:
@@ -100,13 +93,11 @@ def _run(machine: Machine, good_conjuncts: List[Function],
     probe = recorder.probe
     goal = ConjList(manager, good_conjuncts)
     current = goal.copy()
-    _condition(current, options, eval_stats, cache, probe)
+    _condition(current, options, eval_stats, probe)
     history: List[List[Function]] = [list(goal.conjuncts)]
     recorder.record_iterate(current.shared_size(), current.profile(),
                             conjuncts=current.conjuncts)
     recorder.extra["evaluation_stats"] = eval_stats
-    if cache is not None:
-        recorder.extra["pair_cache_stats"] = cache.stats_dict()
     if find_failing_conjunct(machine.init, current.conjuncts) is not None:
         return _violation(machine, history, options, recorder)
     while recorder.iterations < options.max_iterations:
@@ -121,15 +112,13 @@ def _run(machine: Machine, good_conjuncts: List[Function],
                                           options.back_image_mode,
                                           options.cluster_limit))
                 manager.auto_collect()
-            _condition(stepped, options, eval_stats, cache, probe)
+            _condition(stepped, options, eval_stats, probe)
             history.append(list(stepped.conjuncts))
             recorder.record_iterate(stepped.shared_size(),
                                     stepped.profile(),
                                     conjuncts=stepped.conjuncts)
             recorder.extra["tautology_stats"] = checker.stats
             recorder.extra["evaluation_stats"] = eval_stats
-            if cache is not None:
-                recorder.extra["pair_cache_stats"] = cache.stats_dict()
             if find_failing_conjunct(machine.init,
                                      stepped.conjuncts) is not None:
                 return _violation(machine, history, options, recorder)

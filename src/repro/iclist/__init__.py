@@ -3,8 +3,6 @@
 * :class:`ConjList` — an implicitly conjoined list of BDDs with the
   Section II.C care-set simplification.
 * :func:`greedy_evaluate` — the Figure 1 evaluation policy.
-* :class:`PairCache` — persistent, gc_epoch-aware memo of pair
-  products/shared sizes/abort verdicts backing the policy's hot loop.
 * :func:`optimal_pairwise_cover` — Theorem 2 (min-weight matching).
 * :class:`TautologyChecker` — implicit-disjunction tautology engine
   (Section III.B Steps 1-4 with the Theorem 3 optimization).
@@ -14,7 +12,6 @@
 
 from .conjlist import ConjList
 from .evaluate import EvaluationStats, GROW_THRESHOLD, greedy_evaluate
-from .paircache import PairCache, PairCacheStats
 from .cover import PairwiseCover, apply_cover, matching_evaluate, \
     optimal_pairwise_cover
 from .tautology import TautologyChecker, TautologyStats, VAR_CHOICES
@@ -26,8 +23,6 @@ __all__ = [
     "EvaluationStats",
     "GROW_THRESHOLD",
     "greedy_evaluate",
-    "PairCache",
-    "PairCacheStats",
     "PairwiseCover",
     "apply_cover",
     "matching_evaluate",

@@ -16,12 +16,11 @@ the paper exists to manipulate and compare these lists anyway:
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Optional
+from typing import Iterable, Iterator, List
 
 from ..bdd.manager import BDD, Function
 from ..bdd.simplify import restrict_multi
-from ..bdd.sizing import SizeMemo, format_profile, individual_sizes, \
-    shared_size
+from ..bdd.sizing import format_profile, individual_sizes, shared_size
 
 __all__ = ["ConjList"]
 
@@ -128,8 +127,7 @@ class ConjList:
 
     def simplify(self, simplifier: str = "restrict",
                  only_by_smaller: bool = True,
-                 max_passes: int = 4,
-                 size_memo: Optional[SizeMemo] = None) -> None:
+                 max_passes: int = 4) -> None:
         """Care-set simplification of every conjunct by its peers.
 
         Following Section III.A: "we first simplify each BDD X_i by
@@ -146,11 +144,9 @@ class ConjList:
         peer care sets simultaneously and therefore ignores
         ``only_by_smaller``.
 
-        ``size_memo`` optionally supplies an epoch-aware
-        :class:`~repro.bdd.sizing.SizeMemo` so that the many node
-        counts taken here (every conjunct against every peer, every
-        pass) are answered from cache when an engine reuses the memo
-        across fixpoint iterations.
+        The many node counts taken here (every conjunct against every
+        peer, every pass) are answered from the manager's count table
+        when a conjunct recurs.
         """
         if simplifier not in ("restrict", "constrain", "multiway"):
             raise ValueError(f"unknown simplifier {simplifier!r}")
@@ -158,42 +154,37 @@ class ConjList:
             if simplifier == "multiway":
                 changed = self._simplify_pass_multiway()
             else:
-                changed = self._simplify_pass(simplifier, only_by_smaller,
-                                              size_memo)
+                changed = self._simplify_pass(simplifier, only_by_smaller)
             if not changed:
                 break
 
-    def _simplify_pass(self, simplifier: str, only_by_smaller: bool,
-                       size_memo: Optional[SizeMemo] = None) -> bool:
+    def _simplify_pass(self, simplifier: str, only_by_smaller: bool) -> bool:
         if len(self.conjuncts) < 2 or self.is_empty_set():
             return False
-        measure = (size_memo.size if size_memo is not None
-                   else (lambda fn: fn.size()))
         changed = False
-        sizes = [measure(fn) for fn in self.conjuncts]
+        sizes = [fn.size() for fn in self.conjuncts]
         order = sorted(range(len(self.conjuncts)), key=lambda i: sizes[i])
         new_conjuncts = list(self.conjuncts)
         for i in order:
-            # Safe point: everything live is in Function handles (the
-            # memo resyncs with gc_epoch on every call).
+            # Safe point: everything live is in Function handles.
             self.manager.auto_collect()
             target = new_conjuncts[i]
-            target_size = measure(target)
+            target_size = target.size()
             for j in order:
                 if i == j:
                     continue
                 care = new_conjuncts[j]
                 if care.is_constant:
                     continue
-                if only_by_smaller and measure(care) > target_size:
+                if only_by_smaller and care.size() > target_size:
                     continue
                 simplified = (target.restrict(care)
                               if simplifier == "restrict"
                               else target.constrain(care))
                 if simplified.edge != target.edge \
-                        and measure(simplified) <= target_size:
+                        and simplified.size() <= target_size:
                     target = simplified
-                    target_size = measure(target)
+                    target_size = target.size()
                     changed = True
             new_conjuncts[i] = target
         if changed:

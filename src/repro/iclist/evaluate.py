@@ -18,16 +18,15 @@ exactly that via :func:`repro.bdd.bounded_and` — any pair whose product
 overruns ``bound_factor * GrowThreshold * BDDSize(Xi, Xj)`` is priced
 at infinity without being finished.
 
-All per-pair artifacts (products, shared sizes, abort verdicts, node
-counts) are memoized in a :class:`repro.iclist.paircache.PairCache`
-keyed by canonical edge pairs.  Passing a persistent cache makes the
-incremental structure explicit: a merge replaces one list entry, so
-only the O(n) pairs involving the new product are actually built — the
-O(n^2) surviving pairs hit the cache — and an engine reusing the cache
-across fixpoint iterations pays nothing for conjuncts that recur
-between iterates.  With no cache given, a private one is created per
-call (the memoization then only spans merge rounds, matching the
-original table-based implementation).
+Pricing a pair is exactly the paper's formula: ``count_nodes`` of the
+pair, the product ``Xi & Xj`` and the product's ``size()``.  Every
+round prices every pair again, as Figure 1 writes it, and the
+manager's computed tables make the repeats cheap: until the next
+garbage collection, a pair priced before — in an earlier round or an
+earlier fixpoint iteration — finds its product in the ITE table and
+both node counts in the count table.  :func:`~repro.bdd.bounded_and`
+keeps no table between calls, so bounded mode reruns its recursion for
+every pair in every round.
 """
 
 from __future__ import annotations
@@ -36,11 +35,9 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from ..bdd.manager import Function
 from ..bdd.bounded import bounded_and
 from ..obs.probe import NULL_PROBE, Probe
 from .conjlist import ConjList
-from .paircache import PairCache
 
 __all__ = ["greedy_evaluate", "EvaluationStats", "GROW_THRESHOLD",
            "RATIO_RESERVOIR_CAP"]
@@ -64,7 +61,10 @@ class EvaluationStats:
     count/min/max/sum summaries are always maintained.
     """
 
+    #: Pairs priced, one per pair per merge round — including the
+    #: pairs whose product was a computed-table hit.
     pairs_built: int = 0
+    #: Pairs whose bounded conjunction aborted (bounded mode only).
     pairs_aborted: int = 0
     merges: int = 0
     ratios: List[float] = field(default_factory=list)
@@ -99,25 +99,11 @@ class EvaluationStats:
                 "max": self.ratio_max}
 
 
-def _pair_product(x: Function, y: Function, use_bounded: bool,
-                  bound: int, stats: EvaluationStats) -> Optional[Function]:
-    if use_bounded:
-        product = bounded_and(x, y, bound)
-        if product is None:
-            stats.pairs_aborted += 1
-            return None
-        stats.pairs_built += 1
-        return product
-    stats.pairs_built += 1
-    return x & y
-
-
 def greedy_evaluate(conjlist: ConjList,
                     grow_threshold: float = GROW_THRESHOLD,
                     use_bounded: bool = False,
                     bound_factor: float = 4.0,
                     stats: Optional[EvaluationStats] = None,
-                    cache: Optional[PairCache] = None,
                     probe: Probe = NULL_PROBE) -> EvaluationStats:
     """Run Figure 1 in place on ``conjlist``; returns statistics.
 
@@ -126,88 +112,56 @@ def greedy_evaluate(conjlist: ConjList,
     could theoretically allow us to build exponentially-sized BDDs" —
     the GrowThreshold ablation bench sweeps this knob.
 
-    ``cache`` is an optional persistent :class:`PairCache`; results are
-    edge-identical with and without one (canonicity guarantees a cached
-    product equals a recomputed one), only the amount of work differs.
-
     Each merge round is one ``merge_round`` span on ``probe``.  An
     accepted merge notes the winning ratio, the pair's shared size, the
-    product size, whether the product came from the pair cache, and
-    the list length after the merge.  Observing never changes which
-    merges happen.
+    product size and the list length after the merge.  Observing never
+    changes which merges happen.
     """
     if stats is None:
         stats = EvaluationStats()
     if len(conjlist) < 2:
         return stats
-    if cache is None:
-        cache = PairCache(conjlist.manager)
+    manager = conjlist.manager
     conjuncts = conjlist.conjuncts
     while len(conjuncts) >= 2:
         with probe.span("merge_round") as round_span:
-            # Safe point: all live BDDs are held as Functions here.  A
-            # collection renumbers edges, so the cache must resync before
-            # any lookup below.
-            conjlist.manager.auto_collect()
-            cache.note_epoch()
+            # Safe point: all live BDDs are held as Functions here.
+            manager.auto_collect()
             best_ratio = math.inf
-            best_pair = None
-            best_product: Optional[Function] = None
-            best_product_size = 0
-            best_pair_size = 0
-            best_cached = False
+            best = None
             n = len(conjuncts)
             for i in range(n):
                 xi = conjuncts[i]
                 for j in range(i + 1, n):
                     xj = conjuncts[j]
-                    key = cache.pair_key(xi, xj)
-                    pair_size = cache.shared_pair_size(xi, xj)
-                    bound = max(16, int(bound_factor * grow_threshold
-                                        * pair_size))
+                    pair_size = manager.count_nodes((xi, xj))
                     if use_bounded:
-                        known_abort = cache.aborted_at(key)
-                        if known_abort is not None and known_abort >= bound:
-                            # Known useless at this bound: price at infinity
-                            # without re-running the recursion.
-                            cache.stats.abort_hits += 1
-                            continue
-                    product = cache.cached_product(key)
-                    was_cached = product is not None
-                    if product is None:
-                        product = _pair_product(xi, xj, use_bounded, bound,
-                                                stats)
+                        bound = max(16, int(bound_factor * grow_threshold
+                                            * pair_size))
+                        product = bounded_and(xi, xj, bound)
                         if product is None:
-                            cache.record_abort(key, bound)
+                            stats.pairs_aborted += 1
                             continue
-                        cache.store_product(key, product)
-                    product_size = cache.sizes.size(product)
+                    else:
+                        product = xi & xj
+                    stats.pairs_built += 1
+                    product_size = product.size()
                     ratio = product_size / pair_size
                     if ratio < best_ratio:
                         best_ratio = ratio
-                        best_pair = (i, j)
-                        best_product = product
-                        best_product_size = product_size
-                        best_pair_size = pair_size
-                        best_cached = was_cached
-            if best_pair is None or best_ratio > grow_threshold:
+                        best = (i, j, product, product_size, pair_size)
+            if best is None or best_ratio > grow_threshold:
                 round_span.note(merged=False, list_length=len(conjuncts))
                 break
             stats.merges += 1
             stats.record_ratio(best_ratio)
-            # Replace Xi and Xj with Pij.  Pairs among the survivors stay
-            # valid in the cache; only the new product's pairs are misses
-            # on the next round.
-            i, j = best_pair
-            conjuncts[i] = best_product
+            # Replace Xi and Xj with Pij.
+            i, j, product, product_size, pair_size = best
+            conjuncts[i] = product
             del conjuncts[j]
-            # The product was already priced during pair selection;
-            # noting that size keeps an observed run's cache counters
-            # identical to a bare run's.
             round_span.note(merged=True, ratio=best_ratio,
-                            pair_size=best_pair_size,
-                            product_size=best_product_size,
-                            cached=best_cached, list_length=len(conjuncts))
+                            pair_size=pair_size, product_size=product_size,
+                            list_length=len(conjuncts))
     # Re-normalize (the product might have produced constants/duplicates).
     rebuilt = ConjList(conjlist.manager, conjuncts)
     conjlist.conjuncts = rebuilt.conjuncts

@@ -225,16 +225,20 @@ def point_from_run(doc: Dict[str, Any],
 # ----------------------------------------------------------------------
 
 def append_point(ledger_dir: Union[str, Path],
-                 point: Dict[str, Any]) -> int:
-    """Append one point to the history; returns its zero-based index."""
+                 point: Dict[str, Any]) -> None:
+    """Append one point to the history.
+
+    Only appends: the store is never read here, so the cost does not
+    grow with the history.  A caller that reports the point's index
+    counts the points itself (:func:`load_history` once, then one per
+    append).
+    """
     path = history_path(ledger_dir)
     path.parent.mkdir(parents=True, exist_ok=True)
-    index = len(load_history(ledger_dir))
     with path.open("a", encoding="utf-8") as handle:
         handle.write(json.dumps(point, sort_keys=True,
                                 separators=(",", ":"),
                                 default=str) + "\n")
-    return index
 
 
 def load_history(ledger_dir: Union[str, Path]) -> List[Dict[str, Any]]:
@@ -270,10 +274,11 @@ def record_report_point(ledger_dir: Union[str, Path],
                         report: Dict[str, Any], source: str = "bench",
                         git: Optional[str] = None,
                         host: Optional[Dict[str, Any]] = None
-                        ) -> Tuple[int, Dict[str, Any]]:
-    """Build and append a point from a benchjson report."""
+                        ) -> Dict[str, Any]:
+    """Build and append a point from a benchjson report; returns it."""
     point = point_from_report(report, source=source, git=git, host=host)
-    return append_point(ledger_dir, point), point
+    append_point(ledger_dir, point)
+    return point
 
 
 def record_run_point(ledger_dir: Union[str, Path],
@@ -283,11 +288,12 @@ def record_run_point(ledger_dir: Union[str, Path],
                      source: str = "service",
                      git: Optional[str] = None,
                      host: Optional[Dict[str, Any]] = None
-                     ) -> Tuple[int, Dict[str, Any]]:
-    """Build and append a point from a ledger run document."""
+                     ) -> Dict[str, Any]:
+    """Build and append a point from a ledger run document; returns it."""
     point = point_from_run(doc, run_id=run_id, request_hash=request_hash,
                            source=source, git=git, host=host)
-    return append_point(ledger_dir, point), point
+    append_point(ledger_dir, point)
+    return point
 
 
 # ----------------------------------------------------------------------

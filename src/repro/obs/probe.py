@@ -151,7 +151,7 @@ def _merge_fields(probe: "Probe", seconds: Seconds,
     return {"ratio": round(attrs["ratio"], 4),
             "pair_size": attrs["pair_size"],
             "product_size": attrs["product_size"],
-            "cached": attrs["cached"], "list_length": attrs["list_length"]}
+            "list_length": attrs["list_length"]}
 
 
 def _simplify_metrics(probe: "Probe", seconds: Seconds,

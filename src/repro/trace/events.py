@@ -21,8 +21,7 @@ event-specific fields:
     ``seconds``.
 ``merge``
     One accepted greedy-evaluator merge (Figure 1): ``ratio``,
-    ``pair_size``, ``product_size``, ``list_length`` (after the merge),
-    ``cached`` (whether the winning product came from the pair cache).
+    ``pair_size``, ``product_size``, ``list_length`` (after the merge).
 ``termination_test``
     One engine-level convergence check: ``converged`` plus ``tiers``, a
     tally of which tier(s) of the test did the work.  For the exact

@@ -130,8 +130,8 @@ class TestOptionsFromArgs:
         namespace = argparse.Namespace(
             max_nodes=123, time_limit=4.5, grow_threshold=2.0,
             evaluator="matching", simplifier="constrain",
-            bounded_and=True, no_pair_cache=True,
-            back_image="relational", monotone=True, auto_decompose=True)
+            bounded_and=True, back_image="relational", monotone=True,
+            auto_decompose=True)
         options = repro.Options.from_args(namespace)
         assert options.max_nodes == 123
         assert options.time_limit == 4.5
@@ -139,7 +139,6 @@ class TestOptionsFromArgs:
         assert options.evaluator == "matching"
         assert options.simplifier == "constrain"
         assert options.use_bounded_and is True
-        assert options.use_pair_cache is False
         assert options.back_image_mode == "relational"
         assert options.exploit_monotonicity is True
         assert options.auto_decompose is True

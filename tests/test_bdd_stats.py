@@ -3,7 +3,7 @@
 import pytest
 
 from repro.bdd import BDD, bounded_and
-from repro.core import Options, verify
+from repro.core import verify
 
 from test_engines import make_fifo_problem
 
@@ -122,17 +122,5 @@ class TestRunSurfacing:
         assert set(result.bdd_stats) == EXPECTED_KEYS
         assert result.bdd_stats["ite_misses"] > 0
         assert result.bdd_stats["nodes_peak"] > 0
-        assert "pair_cache_stats" in result.extra
-        assert result.extra["pair_cache_stats"]["product_misses"] > 0
-
-    def test_pair_cache_can_be_disabled(self):
-        result = verify(make_fifo_problem(), "xici",
-                        Options(use_pair_cache=False))
-        assert result.verified
+        assert result.extra["evaluation_stats"].pairs_built > 0
         assert "pair_cache_stats" not in result.extra
-
-    def test_ici_size_memo_surfaced(self):
-        result = verify(make_fifo_problem(), "ici")
-        assert result.verified
-        memo_stats = result.extra.get("size_memo_stats")
-        assert memo_stats is not None and memo_stats["hits"] > 0

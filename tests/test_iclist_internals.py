@@ -5,37 +5,61 @@ import random
 
 import pytest
 
-from repro.bdd import BDD
-from repro.iclist import ConjList, EvaluationStats, PairCache, \
-    greedy_evaluate
+from repro.bdd import BDD, Function
+from repro.iclist import ConjList, EvaluationStats, greedy_evaluate
 
 from conftest import random_function
 
 
+def _record_ands(monkeypatch, manager):
+    """Log ``(left edge, right edge, built)`` for every ``&`` call;
+    ``built`` is whether the product missed the ITE table."""
+    calls = []
+    original = Function.__and__
+
+    def recording_and(self, other):
+        misses = manager._ite_misses
+        product = original(self, other)
+        calls.append((self.edge, other.edge, manager._ite_misses > misses))
+        return product
+
+    monkeypatch.setattr(Function, "__and__", recording_and)
+    return calls
+
+
 class TestIncrementalPairReuse:
-    def test_surviving_pairs_reused_across_merge_rounds(self, manager):
-        """After a merge, pairs among surviving conjuncts must be cache
+    def test_surviving_pairs_reused_across_merge_rounds(self, manager,
+                                                        monkeypatch):
+        """After a merge, pairs among surviving conjuncts must be table
         hits — only the O(n) pairs touching the new product are built."""
         a, b, c, d = (manager.var(n) for n in "abcd")
-        # (a|b) and (a|~b) merge profitably to a; c^d and c|d survive.
+        # (a|b) and (a|~b) merge profitably to a; c^d and ~c|~d survive.
+        survivors = {(c ^ d).edge, (~c | ~d).edge}
         cl = ConjList(manager, [a | b, a | ~b, c ^ d, ~c | ~d])
-        cache = PairCache(manager)
-        stats = greedy_evaluate(cl, cache=cache)
+        calls = _record_ands(monkeypatch, manager)
+        stats = greedy_evaluate(cl)
         assert stats.merges >= 1
-        # Round 2 re-scores the survivors' pair without rebuilding it.
-        assert cache.stats.product_hits > 0
+        # Round 2 re-prices the survivors' pair without rebuilding it.
+        priced = [built for left, right, built in calls
+                  if {left, right} == survivors]
+        assert len(priced) >= 2
+        assert priced[0] and not any(priced[1:])
 
-    def test_pairs_built_bounded_by_fresh_pairs(self, manager):
-        """Total products built can never exceed distinct pairs seen:
+    def test_pairs_built_bounded_by_fresh_pairs(self, manager,
+                                                monkeypatch):
+        """Products built can never exceed distinct pairs seen:
         n*(n-1)/2 initial pairs plus n-1 per merge."""
         rng = random.Random(13)
         fns = [random_function(manager, "abcdef", rng) for _ in range(6)]
         cl = ConjList(manager, fns)
         n = len(cl)
-        stats = greedy_evaluate(cl, grow_threshold=1e6,
-                                cache=PairCache(manager))
+        calls = _record_ands(monkeypatch, manager)
+        stats = greedy_evaluate(cl, grow_threshold=1e6)
         ceiling = n * (n - 1) // 2 + stats.merges * (n - 1)
-        assert stats.pairs_built <= ceiling
+        built = sum(built for _left, _right, built in calls)
+        assert built <= ceiling
+        # Every round prices every pair; the repeats were table hits.
+        assert built < stats.pairs_built
 
 
 class TestMultiMergeSequences:

@@ -40,7 +40,7 @@ GC = "epoch freed live"
 IMAGE = "input_size mode output_size seconds"
 TERMINATION = "converged tiers"
 EXACT_TERMINATION = "converged max_depth seconds tiers"
-MERGE = "cached list_length pair_size product_size ratio"
+MERGE = "list_length pair_size product_size ratio"
 BUDGET_CHECK = "elapsed kind limit"
 
 RUN_COUNTERS = ["iterations", "runs_completed", "samples_taken"]

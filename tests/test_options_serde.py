@@ -30,8 +30,6 @@ def _non_default(options: Options) -> Options:
         grow_threshold=1.25,
         evaluator="matching",
         use_bounded_and=True,
-        use_pair_cache=False,
-        pair_cache_capacity=64,
         simplifier="constrain",
         simplify_only_by_smaller=False,
         var_choice="most-common-top",
@@ -80,8 +78,11 @@ class TestRejection:
         with pytest.raises(ValueError, match="JSON object"):
             Options.from_dict(["kernel", "dict"])
 
-    # Clients of options schema 1 may still send ``kernel``/``apply``.
-    @pytest.mark.parametrize("key", ["kernle", "kernel", "apply"])
+    # Clients of options schema 1 may still send ``kernel``/``apply``,
+    # and clients of schemas 1-3 ``use_pair_cache``/``pair_cache_capacity``.
+    @pytest.mark.parametrize("key", ["kernle", "kernel", "apply",
+                                     "use_pair_cache",
+                                     "pair_cache_capacity"])
     def test_unknown_key_rejected_with_field_list(self, key):
         with pytest.raises(ValueError,
                            match=rf"unknown options field\(s\) \['{key}'\]"

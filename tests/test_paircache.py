@@ -1,19 +1,21 @@
-"""PairCache correctness: edge-identical results, epoch safety, bounds.
+"""Pair pricing through the manager's computed tables.
 
-The cache is pure memoization — canonicity means a cached product edge
-equals a recomputed one — so the greedy evaluator must return *edge
-identical* conjunct lists with and without it, on the same manager.
-Garbage collection renumbers edges; the epoch discipline must make a
-stale hit impossible, not merely unlikely.
+Figure 1 prices every pair in every round with ``count_nodes``, an AND
+and a ``size()``.  A pair priced before finds its product in the ITE
+table and its node counts in the count table, so a warm run must give
+*edge identical* conjunct lists to a run after ``clear_caches()`` on
+the same manager, and must build nothing.  Garbage collection
+renumbers nodes; ``clear_caches`` (called by every collection) must
+drop the count table, so a stale count is impossible, not merely
+unlikely.
 """
 
 import random
 
 import pytest
 
-from repro.bdd import BDD, SizeMemo
-from repro.iclist import ConjList, EvaluationStats, PairCache, \
-    greedy_evaluate
+from repro.bdd import BDD
+from repro.iclist import ConjList, EvaluationStats, greedy_evaluate
 from repro.iclist.evaluate import RATIO_RESERVOIR_CAP
 
 from conftest import random_function
@@ -23,52 +25,58 @@ def _random_list(manager, rng, n=5, names="abcdef"):
     return [random_function(manager, names, rng) for _ in range(n)]
 
 
+def _edges(conjlist):
+    return [f.edge for f in conjlist.conjuncts]
+
+
 class TestEdgeIdenticalResults:
     @pytest.mark.parametrize("seed", range(15))
     def test_cached_matches_uncached(self, manager, seed):
         rng = random.Random(seed)
         fns = _random_list(manager, rng)
-        plain = ConjList(manager, fns)
-        cached = ConjList(manager, fns)
-        greedy_evaluate(plain)
-        cache = PairCache(manager)
-        greedy_evaluate(cached, cache=cache)
-        assert [f.edge for f in cached.conjuncts] \
-            == [f.edge for f in plain.conjuncts]
+        greedy_evaluate(ConjList(manager, fns))
+        warm = ConjList(manager, fns)
+        greedy_evaluate(warm)
+        manager.clear_caches()
+        cold = ConjList(manager, fns)
+        greedy_evaluate(cold)
+        assert _edges(warm) == _edges(cold)
 
     @pytest.mark.parametrize("seed", range(10))
-    def test_warm_cache_matches_and_hits(self, manager, seed):
+    def test_warm_cache_matches_and_hits(self, manager, seed, monkeypatch):
         """Re-running on the same list (a fixpoint iterate recurring)
-        must hit the cache and still produce identical edges."""
+        must hit the tables and still produce identical edges."""
         rng = random.Random(seed + 100)
         fns = _random_list(manager, rng)
         reference = ConjList(manager, fns)
         greedy_evaluate(reference)
-        cache = PairCache(manager)
-        first_stats = greedy_evaluate(ConjList(manager, fns), cache=cache)
+        before = manager.stats()
+
+        def no_walk(roots):
+            raise AssertionError("a warm run walked a node count")
+
+        monkeypatch.setattr(manager, "_walk_count", no_walk)
         second = ConjList(manager, fns)
-        second_stats = greedy_evaluate(second, cache=cache)
-        assert [f.edge for f in second.conjuncts] \
-            == [f.edge for f in reference.conjuncts]
-        if first_stats.pairs_built > 0:
-            # Every product the warm run needs was built by the cold run.
-            assert second_stats.pairs_built == 0
-            assert cache.stats.product_hits > 0
+        greedy_evaluate(second)
+        monkeypatch.undo()
+        delta = BDD.stats_delta(before, manager.stats())
+        assert _edges(second) == _edges(reference)
+        # Every product the warm run needs was built by the cold run.
+        assert delta["ite_misses"] == 0
+        assert delta["nodes_created"] == 0
 
     @pytest.mark.parametrize("seed", range(10))
     def test_bounded_variant_matches(self, manager, seed):
         rng = random.Random(seed + 200)
         fns = _random_list(manager, rng)
-        plain = ConjList(manager, fns)
-        cached = ConjList(manager, fns)
-        greedy_evaluate(plain, use_bounded=True, bound_factor=2.0)
-        cache = PairCache(manager)
-        greedy_evaluate(cached, use_bounded=True, bound_factor=2.0,
-                        cache=cache)
         greedy_evaluate(ConjList(manager, fns), use_bounded=True,
-                        bound_factor=2.0, cache=cache)
-        assert [f.edge for f in cached.conjuncts] \
-            == [f.edge for f in plain.conjuncts]
+                        bound_factor=2.0)
+        warm = ConjList(manager, fns)
+        greedy_evaluate(warm, use_bounded=True, bound_factor=2.0)
+        manager.clear_caches()
+        cold = ConjList(manager, fns)
+        greedy_evaluate(cold, use_bounded=True, bound_factor=2.0)
+        assert _edges(warm) == _edges(cold)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_semantics_preserved_with_cache(self, manager, seed):
@@ -76,7 +84,7 @@ class TestEdgeIdenticalResults:
         fns = _random_list(manager, rng)
         cl = ConjList(manager, fns)
         explicit = cl.evaluate_explicitly()
-        greedy_evaluate(cl, cache=PairCache(manager))
+        greedy_evaluate(cl)
         assert cl.evaluate_explicitly().equiv(explicit)
 
 
@@ -84,36 +92,29 @@ class TestEpochSafety:
     def test_gc_flushes_cache(self, manager):
         rng = random.Random(7)
         fns = _random_list(manager, rng)
-        cache = PairCache(manager)
-        greedy_evaluate(ConjList(manager, fns), cache=cache)
-        key = next(iter(cache._products), None)
+        greedy_evaluate(ConjList(manager, fns))
+        assert manager._count_cache
         manager.garbage_collect()
-        assert cache.note_epoch() is True
-        assert len(cache) == 0
-        assert cache.stats.flushes >= 1
-        if key is not None:
-            assert cache.cached_product(key) is None
+        assert not manager._count_cache
 
     @pytest.mark.parametrize("seed", range(8))
     def test_gc_mid_run_never_stale(self, manager, seed):
         """A collection between evaluations renumbers every edge; the
-        warm cache must not serve stale products afterwards."""
+        next evaluation must not see a count from before it."""
         rng = random.Random(seed + 400)
         fns = _random_list(manager, rng)
-        cache = PairCache(manager)
-        greedy_evaluate(ConjList(manager, fns), cache=cache)
-        # Keep only the conjunct handles alive, then renumber edges.
-        survivors = list(fns)
+        before = ConjList(manager, fns)
+        greedy_evaluate(before)
+        epoch = manager.gc_epoch
+        # Keep only the handles alive, then renumber edges.
         manager.garbage_collect()
-        post = ConjList(manager, survivors)
+        assert manager.gc_epoch == epoch + 1
+        post = ConjList(manager, fns)
         explicit = post.evaluate_explicitly()
-        reference = ConjList(manager, survivors)
-        greedy_evaluate(reference)
-        greedy_evaluate(post, cache=cache)
-        assert [f.edge for f in post.conjuncts] \
-            == [f.edge for f in reference.conjuncts]
+        greedy_evaluate(post)
+        # ``before`` was remapped by the collection: same functions.
+        assert _edges(post) == _edges(before)
         assert post.evaluate_explicitly().equiv(explicit)
-        assert cache.stats.flushes >= 1
 
     def test_auto_gc_during_evaluation_is_safe(self):
         """auto_collect fires at the evaluator's safe point; results
@@ -129,55 +130,33 @@ class TestEpochSafety:
         # Force a collection on every safe point.
         mgr.auto_gc_min_nodes = 1
         mgr._gc_trigger = None
-        cache = PairCache(mgr)
+        runs = mgr.stats()["gc_runs"]
         victim = ConjList(mgr, fns)
-        greedy_evaluate(victim, cache=cache)
+        greedy_evaluate(victim)
         mgr.auto_gc_min_nodes = None
         # Edges were renumbered by the collections; compare semantics.
         assert victim.evaluate_explicitly().equiv(explicit)
-        assert cache.stats.flushes >= 1
+        assert mgr.stats()["gc_runs"] > runs
 
 
 class TestBoundsAndStats:
-    def test_product_eviction_is_bounded(self, manager):
-        cache = PairCache(manager, capacity=2)
-        a, b, c, d = (manager.var(n) for n in "abcd")
-        pairs = [(a, b), (a, c), (a, d), (b, c), (b, d)]
-        for x, y in pairs:
-            cache.store_product(cache.pair_key(x, y), x & y)
-        assert len(cache) == 2
-        assert cache.stats.evictions == 3
-
-    def test_abort_memo_keeps_largest_bound(self, manager):
-        cache = PairCache(manager)
-        key = (2, 4)
-        cache.record_abort(key, 16)
-        cache.record_abort(key, 64)
-        cache.record_abort(key, 32)
-        assert cache.aborted_at(key) == 64
-
-    def test_capacity_must_be_positive(self, manager):
-        with pytest.raises(ValueError):
-            PairCache(manager, capacity=0)
-
     def test_size_memo_flushes_on_gc(self, manager):
-        memo = SizeMemo(manager)
         fn = manager.var("a") | manager.var("b")
-        assert memo.size(fn) == fn.size()
-        assert memo.size(fn) == fn.size()
-        assert memo.hits == 1 and memo.misses == 1
+        assert fn.size() == 3
+        assert manager._count_cache == {(fn.edge >> 1,): 3}
+        # Complement bits and root order never change a count.
+        assert (~fn).size() == 3
+        pair = manager.count_nodes([fn, manager.var("c")])
+        assert manager.count_nodes([manager.var("c"), ~fn]) == pair
+        assert len(manager._count_cache) == 2
         manager.garbage_collect()
-        assert memo.size(fn) == fn.size()
-        assert memo.flushes >= 1
+        assert not manager._count_cache
+        assert fn.size() == 3
 
-    def test_stats_dict_shape(self, manager):
-        cache = PairCache(manager)
-        stats = cache.stats_dict()
-        for key in ("product_hits", "product_misses", "abort_hits",
-                    "shared_hits", "shared_misses", "evictions",
-                    "flushes", "products_live", "size_hits",
-                    "size_misses"):
-            assert key in stats
+    def test_larger_root_sets_are_walked(self, manager):
+        roots = [manager.var(name) for name in "abc"]
+        assert manager.count_nodes(roots) == 4
+        assert not manager._count_cache
 
 
 class TestRatioReservoir:

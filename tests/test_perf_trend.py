@@ -213,13 +213,12 @@ class TestBenchjsonSchema2:
 
 class TestHistoryStore:
     def test_append_load_round_trip(self, tmp_path):
-        index0, point0 = perf.record_report_point(
+        point0 = perf.record_report_point(
             tmp_path, _report(0), git="abc1234", host=HOST)
-        index1, _ = perf.record_report_point(
+        point1 = perf.record_report_point(
             tmp_path, _report(1), git="abc1234", host=HOST)
-        assert (index0, index1) == (0, 1)
         points = perf.load_history(tmp_path)
-        assert len(points) == 2
+        assert points == [point0, point1]
         assert points[0]["git_rev"] == "abc1234"
         assert points[0]["host"]["id"] == "deadbeef"
         assert points[0]["benchmark"] == "synthetic"
@@ -240,12 +239,23 @@ class TestHistoryStore:
         perf._git_rev_in.cache_clear()
         try:
             for index in range(2):
-                _, point = perf.record_run_point(
+                point = perf.record_run_point(
                     tmp_path, _run_doc(index), git=None, host=HOST)
                 assert point["git_rev"] == "abc1234"
         finally:
             perf._git_rev_in.cache_clear()
         assert len(calls) == 1
+
+    def test_append_never_reads_the_history(self, tmp_path, monkeypatch):
+        perf.record_run_point(tmp_path, _run_doc(0), git="r", host=HOST)
+
+        def unreadable(ledger_dir):
+            raise AssertionError("append read the history")
+
+        monkeypatch.setattr(perf, "load_history", unreadable)
+        perf.record_run_point(tmp_path, _run_doc(1), git="r", host=HOST)
+        monkeypatch.undo()
+        assert len(perf.load_history(tmp_path)) == 2
 
     def test_torn_and_foreign_lines_skipped(self, tmp_path):
         perf.record_report_point(tmp_path, _report(0), git="r", host=HOST)
