@@ -22,12 +22,17 @@ attempts were made (``ServiceClientError.attempts``).
 Requests can carry a correlation id: ``submit(request_id=...)`` sends
 it as ``X-Request-Id``, the server echoes it on every response and
 stamps it through the job's events and ledger record.
+
+``wait`` follows the job's event stream (``?follow=1``), which the
+server ends right after the terminal ``state`` event, and then fetches
+the job document once.
 """
 
 from __future__ import annotations
 
 import json
 import random
+import socket
 import time
 import urllib.error
 import urllib.request
@@ -212,14 +217,17 @@ class ServiceClient:
                follow: bool = False) -> Iterator[Dict[str, Any]]:
         """Yield the job's NDJSON events (streams until terminal when
         ``follow`` is set)."""
+        return self._events(job_id, since, follow, self.timeout)
+
+    def _events(self, job_id: str, since: int, follow: bool,
+                timeout: float) -> Iterator[Dict[str, Any]]:
         path = f"/v1/jobs/{job_id}/events?since={since}" \
                + ("&follow=1" if follow else "")
         request = urllib.request.Request(self.base_url + path)
         if self.token:
             request.add_header("Authorization", f"Bearer {self.token}")
         try:
-            with urllib.request.urlopen(
-                    request, timeout=self.timeout) as reply:
+            with urllib.request.urlopen(request, timeout=timeout) as reply:
                 for line in reply:
                     line = line.strip()
                     if line:
@@ -227,16 +235,37 @@ class ServiceClient:
         except urllib.error.HTTPError as error:
             raise _client_error(error) from None
 
-    def wait(self, job_id: str, timeout: float = 300.0,
-             poll: float = 0.1) -> Dict[str, Any]:
-        """Poll until the job reaches a terminal state; return it."""
+    def wait(self, job_id: str, timeout: float = 300.0) -> Dict[str, Any]:
+        """Follow the job's event stream to its terminal event, then
+        return the job document (one ``GET /v1/jobs/{id}``).
+
+        Raises :class:`TimeoutError` when the job is still live
+        ``timeout`` seconds in, late by at most about a second: each
+        stream is opened with a socket timeout that ends by the
+        deadline, and is reopened after the last event read when a
+        read could run more than a second past it.  A stream silent
+        for the client's own ``timeout`` is reopened the same way.
+        """
         deadline = time.monotonic() + timeout
-        while True:
-            document = self.job(job_id)
-            if document["state"] in ("done", "failed", "cancelled"):
-                return document
-            if time.monotonic() >= deadline:
+        state, since = "queued", 0
+        while state not in ("done", "failed", "cancelled"):
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
                 raise TimeoutError(
-                    f"job {job_id} still {document['state']!r} after "
-                    f"{timeout:.0f}s")
-            time.sleep(poll)
+                    f"job {job_id} still {state!r} after {timeout:.0f}s")
+            read_timeout = min(self.timeout, remaining)
+            try:
+                for event in self._events(job_id, since, True,
+                                          read_timeout):
+                    if "seq" in event:  # events_dropped lines have none
+                        since = event["seq"] + 1
+                    if event["kind"] == "state":
+                        state = event["state"]
+                    if deadline - time.monotonic() < read_timeout - 1.0:
+                        break
+            except socket.timeout:
+                pass
+            except urllib.error.URLError as error:
+                if not isinstance(error.reason, socket.timeout):
+                    raise
+        return self.job(job_id)

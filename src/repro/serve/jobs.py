@@ -12,7 +12,10 @@ the run's :class:`~repro.obs.watchdog.Watchdog` (wired through
 that ``GET /v1/jobs/{id}/events`` streams as NDJSON.  The log is
 bounded (:data:`MAX_EVENTS`); overflow drops the oldest middle and
 counts what was dropped, so a pathological run cannot hold the server
-hostage on memory.
+hostage on memory.  :meth:`Job.finish` appends the terminal ``state``
+event and closes the log in one step, so a follower blocked in
+:meth:`JobEventLog.follow` wakes on every event and learns the job is
+over from the log itself, with the terminal event in hand.
 
 **Cancellation is cooperative, via the engines' existing budget
 hooks**: :meth:`Job.cancel` marks the job and moves the live manager's
@@ -37,7 +40,7 @@ import threading
 import time
 import traceback
 import uuid
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..trace import Tracer
 
@@ -65,6 +68,10 @@ class JobState:
 class JobEventLog:
     """Thread-safe append-only event log with a drop-middle bound.
 
+    Followers block in :meth:`follow` until an event lands or the log
+    is closed; :meth:`close` appends the last event and closes the log
+    under one lock hold, so no follower sees one without the other.
+
     Also quacks like a write stream (``write``/``flush``) so it can be
     handed to the watchdog as ``Options.heartbeat_stream``: complete
     lines written to it become ``{"kind": "heartbeat", ...}`` events.
@@ -75,7 +82,13 @@ class JobEventLog:
         self._events: List[Dict[str, Any]] = []
         self._dropped = 0
         self._max = max_events
-        self._lock = threading.Lock()
+        # Reentrant: close() appends while it holds the lock.
+        self._lock = threading.RLock()
+        #: Made by the first follower that has to block, dropped on
+        #: close: a closed log never blocks, and most jobs a server
+        #: retains are closed.
+        self._changed: Optional[threading.Condition] = None
+        self._closed = False
         self._seq = 0
         self._pending_line = ""
         #: Stamped onto every event so a single NDJSON line is enough
@@ -99,12 +112,36 @@ class JobEventLog:
                 cut = len(self._events) - self._max
                 del self._events[keep_head:keep_head + cut]
                 self._dropped += cut
+            if self._changed is not None:
+                self._changed.notify_all()
+
+    def close(self, kind: str, **fields: Any) -> None:
+        """Append the log's last event and mark the log closed."""
+        with self._lock:
+            self.append(kind, **fields)
+            self._closed = True
+            self._changed = None
 
     def snapshot(self, since_seq: int = 0) -> List[Dict[str, Any]]:
         """Events with ``seq >= since_seq`` (a consistent copy)."""
         with self._lock:
             return [dict(e) for e in self._events
                     if e["seq"] >= since_seq]
+
+    def follow(self, since_seq: int = 0
+               ) -> Tuple[List[Dict[str, Any]], bool]:
+        """Block until an event with ``seq >= since_seq`` exists or the
+        log is closed; return those events and whether it is closed.
+
+        Both are read under one lock hold: a closed log's batch ends
+        with the event :meth:`close` appended.
+        """
+        with self._lock:
+            while self._seq <= since_seq and not self._closed:
+                if self._changed is None:
+                    self._changed = threading.Condition(self._lock)
+                self._changed.wait()
+            return self.snapshot(since_seq), self._closed
 
     @property
     def dropped(self) -> int:
@@ -198,10 +235,11 @@ class Job:
         self.events.append("state", state=JobState.RUNNING)
 
     def finish(self, state: str, **fields: Any) -> None:
+        """Turn terminal: the ``state`` event closes the event log."""
         with self._lock:
             self.state = state
             self.finished_at = time.time()
-        self.events.append("state", state=state, **fields)
+            self.events.close("state", state=state, **fields)
 
     def attach_manager(self, manager: Any) -> bool:
         """Expose the live manager to the cancel hook.
@@ -244,7 +282,9 @@ class Job:
                 return False
             self._cancel_requested = True
             self._poke_budget_locked()
-        self.events.append("cancel_requested")
+            # Under the job lock, so it cannot follow the terminal
+            # event that finish() appends under the same lock.
+            self.events.append("cancel_requested")
         return True
 
     def _poke_budget_locked(self) -> None:

@@ -31,7 +31,9 @@ server-lifetime metrics (``job_queue_wait_seconds`` /
 and — for archived runs — in a ``service.json`` sidecar next to
 ``run.json`` (:func:`repro.obs.ledger.record_service`).  The sidecar
 keeps wall-clock and request ids *out* of the content-addressed run
-document, so identical runs still collide.
+document, so identical runs still collide.  All of it is recorded
+before the job turns terminal, so a client that reads the job the
+moment its terminal event arrives sees the whole rollup and sidecar.
 
 A job cancelled mid-run (cooperative, through the budget hook — see
 :mod:`repro.serve.jobs`) is *not* archived: its partial budget outcome
@@ -41,8 +43,9 @@ must never be served as the cached answer to an honest request.
 from __future__ import annotations
 
 import threading
+import time
 from dataclasses import replace
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Tuple
 
 from ..core import verify
 from ..models import build_model
@@ -93,21 +96,30 @@ class VerificationPipeline:
     # -- the executor (WorkerPool calls this on a worker thread) --------
 
     def run_job(self, job: Job) -> None:
+        """Run one job, record its telemetry, then finish it."""
         spans = SpanProfiler()
         job.mark_running()
         queue_wait = job.started_at - job.created_at
         job.record_phase("queue_wait", queue_wait)
         self.metrics.observe_time("job_queue_wait_seconds", queue_wait)
         try:
-            self._run_job_phases(job, spans)
+            state, fields = self._run_job_phases(job, spans)
         finally:
             self._finalize_telemetry(job, spans)
+        self.metrics.observe_time("job_run_seconds",
+                                  time.time() - job.started_at)
+        job.finish(state, **fields)
 
-    def _run_job_phases(self, job: Job, spans: SpanProfiler) -> None:
+    def _run_job_phases(self, job: Job, spans: SpanProfiler
+                        ) -> Tuple[str, Dict[str, Any]]:
+        """The job's phases; returns its terminal state and the fields
+        of its terminal event."""
         with spans.span("cache_probe"):
             hit = self._serve_from_cache(job)
         if hit:
-            return
+            return JobState.DONE, {
+                "outcome": (job.result or {}).get("outcome"),
+                "cached": True}
         request = job.request
         options = self._job_options(job)
         job.events.append("build_start", model=request.model)
@@ -117,8 +129,7 @@ class VerificationPipeline:
         if not job.attach_manager(problem.machine.manager):
             # Cancelled between dequeue and build finish.
             self._bump("jobs_cancelled", "jobs_cancelled")
-            job.finish(JobState.CANCELLED, where="built")
-            return
+            return JobState.CANCELLED, {"where": "built"}
         engine_spans = options.spans
         try:
             with spans.span("run"):
@@ -131,9 +142,8 @@ class VerificationPipeline:
             # keep the partial outcome out of the cache.
             self._bump("jobs_cancelled", "jobs_cancelled")
             job.result = result.to_dict(include_profiles=False)
-            job.finish(JobState.CANCELLED, where="running",
-                       outcome=result.outcome)
-            return
+            return JobState.CANCELLED, {"where": "running",
+                                        "outcome": result.outcome}
         self._bump("jobs_executed", "jobs_executed")
         # Serialize exactly as the ledger document does (no iterate
         # profiles, no counterexample steps): a cache-served result
@@ -166,17 +176,14 @@ class VerificationPipeline:
             job.run_id = run_id
             job.events.append("archived", run_id=run_id,
                               request_hash=job.request_hash)
-        job.finish(JobState.DONE, outcome=result.outcome,
-                   cached=False)
+        return JobState.DONE, {"outcome": result.outcome,
+                               "cached": False}
 
     def _finalize_telemetry(self, job: Job, spans: SpanProfiler) -> None:
-        """Fold the service-phase rollup into the job, the metrics,
-        and (for archived runs) the ledger sidecar."""
+        """Fold the service-phase rollup into the job and (for
+        archived runs) the ledger sidecar."""
         for name, row in spans.rollup().items():
             job.record_phase(name, row["seconds"])
-        if job.started_at and job.finished_at:
-            self.metrics.observe_time(
-                "job_run_seconds", job.finished_at - job.started_at)
         if self.ledger_dir is not None and job.run_id is not None \
                 and not job.cached:
             ledger.record_service(self.ledger_dir, job.run_id, {
@@ -189,7 +196,7 @@ class VerificationPipeline:
     # -- helpers --------------------------------------------------------
 
     def _serve_from_cache(self, job: Job) -> bool:
-        """Finish the job from the ledger when its hash is indexed."""
+        """Fill the job from the ledger when its hash is indexed."""
         if not self.use_cache:
             return False
         run_id = ledger.lookup_request(self.ledger_dir, job.request_hash)
@@ -203,9 +210,6 @@ class VerificationPipeline:
         job.result = document.get("result")
         job.events.append("cache_hit", run_id=run_id,
                           request_hash=job.request_hash)
-        job.finish(JobState.DONE,
-                   outcome=(job.result or {}).get("outcome"),
-                   cached=True)
         return True
 
     def _job_options(self, job: Job) -> Any:

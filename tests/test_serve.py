@@ -13,6 +13,7 @@ reliably outlives the test's cancel).
 """
 
 import json
+import sys
 import threading
 import time
 
@@ -255,6 +256,114 @@ class TestJobEventLog:
         assert events[0]["kind"] == "heartbeat"
         assert events[0]["line"] == "iter 3 | nodes 1200"
 
+    def test_follower_wakes_when_an_event_is_appended(self):
+        log = JobEventLog()
+        log.append("submitted")
+        results = []
+        follower = threading.Thread(
+            target=lambda: results.append(log.follow(since_seq=1)),
+            daemon=True)
+        follower.start()
+        log.append("state", state=JobState.RUNNING)
+        follower.join(timeout=10)
+        assert not follower.is_alive()
+        [(batch, closed)] = results
+        assert [event["kind"] for event in batch] == ["state"]
+        assert batch[0]["seq"] == 1
+        assert not closed
+
+    def test_follower_never_sees_closed_without_the_terminal_event(self):
+        job = _job()
+        seen, closing_batches = [], []
+
+        def follow():
+            seq = 0
+            while True:
+                batch, closed = job.events.follow(seq)
+                seen.extend(batch)
+                if batch:
+                    seq = batch[-1]["seq"] + 1
+                if closed:
+                    closing_batches.append(batch)
+                    return
+
+        follower = threading.Thread(target=follow, daemon=True)
+        follower.start()
+        canceller = threading.Thread(target=job.cancel)
+        for index in range(50):
+            job.events.append("trace", event="synthetic", index=index)
+        canceller.start()
+        job.finish(JobState.DONE, outcome="verified")
+        canceller.join(timeout=10)
+        follower.join(timeout=10)
+        assert not follower.is_alive()
+        [batch] = closing_batches
+        assert batch[-1]["kind"] == "state"
+        assert batch[-1]["state"] == JobState.DONE
+        assert seen == job.events.snapshot()   # nothing after it
+
+    def test_followers_see_every_event_under_contention(self):
+        log = JobEventLog()
+        appenders, per_appender = 4, 200
+        seen = {}
+
+        def follow(name):
+            seq, events = 0, []
+            while True:
+                batch, closed = log.follow(seq)
+                events.extend(batch)
+                if batch:
+                    seq = batch[-1]["seq"] + 1
+                if closed:
+                    seen[name] = events
+                    return
+
+        def append(name):
+            for index in range(per_appender):
+                log.append("trace", event=name, index=index)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            followers = [threading.Thread(target=follow, args=(i,),
+                                          daemon=True) for i in range(4)]
+            writers = [threading.Thread(target=append, args=(i,))
+                       for i in range(appenders)]
+            for thread in followers + writers:
+                thread.start()
+            for thread in writers:
+                thread.join(timeout=30)
+            log.close("state", state=JobState.DONE)
+            for thread in followers:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in followers + writers)
+        total = appenders * per_appender + 1
+        for events in seen.values():
+            assert [event["seq"] for event in events] == list(range(total))
+            assert events[-1]["state"] == JobState.DONE
+        assert len(seen) == 4
+
+    def test_cancel_cannot_land_after_the_terminal_event(self):
+        """A finish racing a cancel waits for the cancel's event."""
+        job = _job()
+        append = job.events.append
+        finisher = threading.Thread(
+            target=job.finish, args=(JobState.DONE,), daemon=True)
+
+        def append_racing_finish(kind, **fields):
+            if kind == "cancel_requested":
+                finisher.start()
+                finisher.join(timeout=0.2)
+            append(kind, **fields)
+
+        job.events.append = append_racing_finish
+        assert job.cancel()
+        finisher.join(timeout=10)
+        kinds = [event["kind"] for event in job.events.snapshot()]
+        assert kinds == ["cancel_requested", "state"]
+
 
 # ----------------------------------------------------------------------
 # Unit: request parsing
@@ -478,6 +587,118 @@ class TestServerEndToEnd:
             with pytest.raises(ServiceClientError) as excinfo:
                 ServiceClient(server.url).job("nope")
             assert excinfo.value.status == 404
+        finally:
+            server.stop()
+
+
+class TestJobCompletion:
+    """A terminal job is announced once, last, and complete."""
+
+    def test_follow_stream_ends_with_the_terminal_event(
+            self, tmp_path, monkeypatch):
+        # Slow the terminal append down: a follower that decided the
+        # job was over from anything but the log would end without it.
+        append = JobEventLog.append
+
+        def slow_terminal_append(log, kind, **fields):
+            if kind == "state" and fields.get("state") \
+                    in JobState.TERMINAL:
+                time.sleep(0.2)
+            append(log, kind, **fields)
+
+        monkeypatch.setattr(JobEventLog, "append", slow_terminal_append)
+        server = _start_server(ledger_dir=str(tmp_path))
+        try:
+            client = ServiceClient(server.url)
+            for cached in (False, True):
+                job = client.submit(**FAST_JOB)
+                events = list(client.events(job["id"], follow=True))
+                last = events[-1]
+                assert (last["kind"], last.get("state"),
+                        last.get("cached")) == ("state", "done", cached)
+        finally:
+            server.stop()
+
+    def test_terminal_job_holds_its_telemetry(self, tmp_path,
+                                              monkeypatch):
+        seen = {}
+        finish = Job.finish
+
+        def recording_finish(job, state, **fields):
+            sidecar = (None if job.cached else
+                       ledger.load_service(str(tmp_path), job.run_id))
+            seen[job.id] = (sorted(job.phases), sidecar)
+            finish(job, state, **fields)
+
+        monkeypatch.setattr(Job, "finish", recording_finish)
+        server = _start_server(ledger_dir=str(tmp_path))
+        try:
+            client = ServiceClient(server.url)
+            miss = client.wait(client.submit(**FAST_JOB)["id"],
+                               timeout=60)
+            hit = client.wait(client.submit(**FAST_JOB)["id"],
+                              timeout=60)
+        finally:
+            server.stop()
+        phases, sidecar = seen[miss["id"]]
+        assert phases == sorted(["queue_wait", "cache_probe", "build",
+                                 "run", "archive"])
+        assert sidecar["job_id"] == miss["id"]
+        assert sorted(sidecar["phases"]) == phases
+        assert seen[hit["id"]] == (["cache_probe", "queue_wait"], None)
+        assert hit["cached"]
+
+    def test_wait_fetches_the_job_once(self, monkeypatch):
+        # Hold the job in the queue a while, so wait() meets it live.
+        mark_running = Job.mark_running
+
+        def late_mark_running(job):
+            time.sleep(0.3)
+            mark_running(job)
+
+        monkeypatch.setattr(Job, "mark_running", late_mark_running)
+        server = _start_server()
+        try:
+            client = ServiceClient(server.url)
+            job = client.submit(**FAST_JOB)
+            calls = []
+            call_once = client._call_once
+
+            def recording_call_once(method, path, **kwargs):
+                calls.append((method, path))
+                return call_once(method, path, **kwargs)
+
+            client._call_once = recording_call_once
+            done = client.wait(job["id"], timeout=60)
+            assert done["state"] == "done"
+            assert done["result"]["outcome"] == "violated"
+            assert calls == [("GET", f"/v1/jobs/{job['id']}")]
+        finally:
+            server.stop()
+
+    def test_wait_times_out_on_a_queued_job(self):
+        server = _start_server(queue_limit=4)
+        client = ServiceClient(server.url)   # socket timeout 30 s
+        try:
+            # Fwd on default movavg blows up (the paper's monolithic
+            # case) and keeps allocating, so the cancel below lands.
+            slow = client.submit("movavg", method="fwd", label="slow")
+            queued = client.submit(**FAST_JOB)
+            started = time.monotonic()
+            with pytest.raises(TimeoutError) as excinfo:
+                client.wait(queued["id"], timeout=1.0)
+            assert time.monotonic() - started < 2.5
+            assert str(excinfo.value) == \
+                f"job {queued['id']} still 'queued' after 1s"
+            # Overflow the queued job's log, so its stream carries an
+            # events_dropped line (no seq) before its events.
+            server.service.job(queued["id"]).events._max = 4
+            client.cancel(slow["id"])
+            assert client.wait(queued["id"], timeout=60)["state"] \
+                == "done"
+            assert client.job(queued["id"])["events_dropped"] > 0
+            assert client.wait(slow["id"], timeout=60)["state"] \
+                == "cancelled"
         finally:
             server.stop()
 

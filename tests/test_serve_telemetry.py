@@ -579,9 +579,10 @@ class TestJobPhaseTelemetry:
         assert submits[0]["status"] == 202
         assert submits[0]["job_id"] == job["id"]
         assert submits[0]["seconds"] >= 0
-        assert all(r["route"] == "get_job" and r["status"] == 200
-                   for r in records if r["path"].startswith(
-                       "/v1/jobs/") and r["method"] == "GET")
+        # wait() follows the event stream, then fetches the job once.
+        assert [(r["route"], r["status"]) for r in records] == [
+            ("submit", 202), ("events", 200), ("get_job", 200)]
+        assert all(r["job_id"] == job["id"] for r in records)
 
     def test_metrics_off_results_identical_modulo_wall_clock(self):
         metered = _start_server(metrics=True)
